@@ -42,7 +42,16 @@ def _coerce(text: str):
 
 def parse_config(path) -> dict:
     """Resolved key -> value mapping for a config file (with includes)."""
-    path = Path(path)
+    return _parse_file(Path(path), ())
+
+
+def _parse_file(path: Path, chain: tuple) -> dict:
+    """Parse one file; ``chain`` holds the resolved paths including it."""
+    here = path.resolve()
+    if here in chain:
+        names = [p.name for p in chain[chain.index(here):]] + [here.name]
+        raise ConfigError("include cycle: " + " -> ".join(names))
+    chain += (here,)
     try:
         text = path.read_text()
     except OSError as exc:
@@ -54,7 +63,7 @@ def parse_config(path) -> dict:
             continue
         if line.startswith("include ") or line.startswith("include\t"):
             target = line.split(None, 1)[1].strip()
-            out.update(parse_config(path.parent / target))
+            out.update(_parse_file(path.parent / target, chain))
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")

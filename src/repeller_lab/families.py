@@ -21,6 +21,7 @@ sqrt(t) whose derivative stays above 1 + sqrt(t) away from the hole.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,23 +43,21 @@ _A2_INV = np.linalg.inv(_A2)
 _COSETS = np.array([[j, 0.0] for j in range(10)])
 
 
-def _symbol_reps():
-    """Integer lattice points grouped by their branch symbol.
+def _near_offsets():
+    """Lattice offsets v with |v|_inf <= 2, grouped by their coset.
 
-    The symbol of a lattice point m is (3 m0 + m1) mod 10; points sharing
-    a symbol differ by an element of the matrix lattice A Z^2 and project
-    to the same torus cell.  The range {-5..5}^2 exceeds the covering
-    radius of A Z^2 (~2.24) over the reachable slab |y|_inf <= 2, so
-    nearest-representative distances computed from it are exact.
+    The coset of v is (3 v0 + v1) mod 10.  Returned with shape
+    (2, 4, 10): component, column, coset.  Cosets with fewer than four
+    offsets repeat their first one, which leaves a minimum unchanged.
     """
-    reps = {s: [] for s in range(10)}
-    for m0 in range(-5, 6):
-        for m1 in range(-5, 6):
-            reps[(3 * m0 + m1) % 10].append((float(m0), float(m1)))
-    return {s: np.array(v) for s, v in reps.items()}
+    near = {o: [] for o in range(10)}
+    for v0 in range(-2, 3):
+        for v1 in range(-2, 3):
+            near[(3 * v0 + v1) % 10].append((float(v0), float(v1)))
+    return np.array([(v * 4)[:4] for v in near.values()]).T
 
 
-_REPS = _symbol_reps()
+_NEAR0, _NEAR1 = _near_offsets()
 
 
 class _TenBranchTorus(MapWithHoles):
@@ -83,13 +82,35 @@ class _TenBranchTorus(MapWithHoles):
         """Signed L2 clearance to the torus cell of ``symbol``.
 
         Computed in the image coordinates y = A x, where the cells are
-        the unit boxes around lattice points of the symbol; the conformal
-        factor sqrt(10) converts the L-infinity clearance back to a valid
-        Euclidean clearance for x.
+        the unit boxes around the integer points r with (3 r0 + r1) mod 10
+        equal to ``symbol``; the conformal factor sqrt(10) converts the
+        L-infinity clearance back to a valid Euclidean clearance for x.
+
+        Closed form for the nearest such r: with m = floor(y + 1/2) and
+        u = y - m (exact), r = m + v where v ranges over the coset
+        o = (symbol - 3 m0 - m1) mod 10 of the lattice A Z^2, and
+        |y - r|_inf = |u - v|_inf.  The table holds, per coset, the
+        offsets with |v|_inf <= 2, which meet all ten cosets (3 v0 + v1
+        covers -8..8).  Covering: for u in [-1/2, 1/2]^2 a tabled v lies
+        within |u|_inf + |v|_inf <= 1/2 + 2 = 5/2, while any offset with
+        |v|_inf >= 3 is at least 3 - 1/2 = 5/2 away, so nothing outside
+        the table is nearer.  The 5/2 comes from coset 5, the only one
+        whose offsets +-(1, 2), +-(2, -1) all have norm 2; the exact worst
+        case over the box is smaller (2, for coset 5 at u = 0), which also
+        absorbs the one-ulp excess of |u| over 1/2 when y + 1/2 rounds up.
+        As u - v and y - r are the same real number they round to the
+        same float, so the margin equals a brute-force search over all
+        representatives bit for bit.
         """
         y = centered(points) @ _A2.T
-        diffs = np.abs(y[:, None, :] - _REPS[symbol][None, :, :]).max(axis=2)
-        return (0.5 - diffs.min(axis=1)) / SQRT10
+        m = np.floor(y + 0.5)
+        u0, u1 = y[:, 0] - m[:, 0], y[:, 1] - m[:, 1]
+        coset = (symbol - (3 * m[:, 0] + m[:, 1]).astype(np.int64)) % 10
+        dist = np.full(len(y), np.inf)
+        for near0, near1 in zip(_NEAR0, _NEAR1):
+            d = np.maximum(np.abs(u0 - near0.take(coset)), np.abs(u1 - near1.take(coset)))
+            np.minimum(dist, d, out=dist)
+        return (0.5 - dist) / SQRT10
 
     def cell_margin(self, symbol, points):
         return self._linear_margin(symbol, np.atleast_2d(points))
@@ -141,6 +162,20 @@ class LinearToy2D(_TenBranchTorus):
             self, symbol, self._linear_preimages(np.atleast_2d(points)))
 
 
+@functools.lru_cache(maxsize=64)
+def _family_constant(delta0, delta1, sigma1, slope, quad):
+    """K = inf of mu / mu_f over a positive mu grid, for one profile shape.
+
+    Depends only on the shape parameters, so every model sharing them
+    shares the 17 profile builds.
+    """
+    def rescale(m):
+        prof = build_phi(m, SQRT10, delta0, delta1, sigma1, slope=slope, quad=quad)
+        return m / (np.pi * circle_radius(prof) ** 2)
+
+    return min(rescale(m) for m in np.geomspace(1e-4, 0.1, 17))
+
+
 class HopfModel2D(_TenBranchTorus):
     """Planar hole model: linear action outside a disk, radial dip inside.
 
@@ -171,13 +206,7 @@ class HopfModel2D(_TenBranchTorus):
         self.w_star = self.rho_inv ** 2
         self.mu_f = float(np.pi) * self.rho_inv ** 2
         self.K_mu = self.mu / self.mu_f if self.mu_f > 0 else float("nan")
-
-        def rescale(m):
-            prof = build_phi(m, SQRT10, delta0, delta1, sigma1, slope=slope, quad=quad)
-            return m / (np.pi * circle_radius(prof) ** 2)
-
-        grid = np.geomspace(1e-4, 0.1, 17)
-        self.K = min(rescale(m) for m in grid)
+        self.K = _family_constant(delta0, delta1, sigma1, slope, quad)
         self.c0 = self.K / 256.0
         self.delta_mu = self.K * self.mu_f
         self.S = 1.0 / float(self.profile.value(self.w_star))

@@ -238,7 +238,7 @@ def cmd_dim(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
 
     header = _header("dim", resolved)
     if sc.family == "hopf2d":
-        probe = HopfModel2D(0.05)
+        probe = make_family("hopf2d", 0.05, sc.raw)
         header += [f"derived: sigma = {float(probe.sigma)!r}",
                    f"derived: alpha = {float(probe.alpha)!r}",
                    f"derived: K = {float(probe.K)!r}",

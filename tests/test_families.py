@@ -108,6 +108,55 @@ def test_hole_sits_inside_branch_zero():
     assert np.all(model.symbol_of(rim) == -1)
 
 
+def _brute_force_linear_margin(symbol, points):
+    """Reference margin: search every representative of the symbol in
+    {-5..5}^2, which holds the nearest one for any |y|_inf <= 2."""
+    reps = np.array([(m0, m1) for m0 in range(-5, 6) for m1 in range(-5, 6)
+                     if (3 * m0 + m1) % 10 == symbol], dtype=float)
+    y = centered(points) @ A2.T
+    diffs = np.abs(y[:, None, :] - reps[None, :, :]).max(axis=2)
+    return (0.5 - diffs.min(axis=1)) / np.sqrt(10.0)
+
+
+def _box_edge_points(rng, n):
+    """Points whose image y = A x lies exactly on a unit-box edge.
+
+    Dyadic x with 20 fractional bits keeps A x exact, so choosing
+    x1 = 3 x0 - (j + 1/2) puts y0 on an edge and x0 = (j + 1/2) - 3 x1
+    puts y1 on one.
+    """
+    free = rng.integers(-2 ** 19, 2 ** 19, size=n) / 2.0 ** 20
+    half = rng.integers(-2, 2, size=n) + 0.5
+    on_y0 = np.stack([free, 3 * free - half], axis=1)
+    on_y1 = np.stack([half - 3 * free, free], axis=1)
+    return wrap(np.concatenate([on_y0, on_y1]))
+
+
+def test_cell_margin_matches_brute_force_bitwise():
+    n = 512
+    g = (np.arange(n) + 0.5) / n
+    centres = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(17)
+    edges = _box_edge_points(rng, 20_000)
+    y = centered(edges) @ A2.T
+    assert np.all((np.abs(y - np.floor(y)) == 0.5).any(axis=1))
+    nudged = np.concatenate([edges, np.nextafter(edges, 2.0),
+                             np.nextafter(edges, -1.0)])
+    point_sets = {"grid centres": centres, "random": rng.random((200_000, 2)),
+                  "box edges +-1 ulp": nudged}
+    toy, hopf = LinearToy2D(), HopfModel2D(0.05)
+    for name, pts in point_sets.items():
+        _, w = hopf._w(pts)
+        for symbol in range(10):
+            want = _brute_force_linear_margin(symbol, pts)
+            got = toy.cell_margin(symbol, pts)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, symbol)
+            if symbol == 0:
+                want = np.minimum(want, np.sqrt(w) - hopf.rho_inv)
+            got = hopf.cell_margin(symbol, pts)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, symbol)
+
+
 def test_inverse_branches_roundtrip_and_hole_has_no_branch_zero_preimage():
     model = HopfModel2D(0.1)
     rng = np.random.default_rng(1)

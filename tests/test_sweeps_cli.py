@@ -9,6 +9,7 @@ import pytest
 from repeller_lab.cli import main
 from repeller_lab.config import (ConfigError, SweepConfig, config_hash,
                                  parse_config)
+from repeller_lab.families import HopfModel2D
 from repeller_lab.svgplot import SvgPlot
 from repeller_lab.sweeps import (cache_dir, cache_get, cache_put, cmd_a2,
                                  cmd_bounds, cmd_dim, cmd_induced,
@@ -43,6 +44,17 @@ def test_parse_config_include_overrides(tmp_path):
     child.write_text("include base.cfg\ngrid_n = 128\n")
     got = parse_config(child)
     assert got == {"grid_n": 128, "seed": 1}
+
+
+def test_cli_rejects_include_cycles(tmp_path, capsys):
+    self_cfg = tmp_path / "self.cfg"
+    self_cfg.write_text("seed = 1\ninclude self.cfg\n")
+    assert main(["dim", "--config", str(self_cfg)]) == 2
+    assert "include cycle: self.cfg -> self.cfg" in capsys.readouterr().err
+    (tmp_path / "a.cfg").write_text("include b.cfg\nseed = 1\n")
+    (tmp_path / "b.cfg").write_text("include a.cfg\n")
+    assert main(["dim", "--config", str(tmp_path / "a.cfg")]) == 2
+    assert "include cycle: a.cfg -> b.cfg -> a.cfg" in capsys.readouterr().err
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -166,6 +178,16 @@ def test_dim_empty_grid_header_only(tmp_path):
     data = [ln for ln in lines if not ln.startswith("#")]
     assert data == ["mu,mu_f,rho_inv,dimension,ci,slope_raw,residual,"
                     "survivors,badset_ref,flags,config_hash"]
+
+
+def test_dim_header_derives_constants_from_family_knobs(tmp_path):
+    cfg = _dim_cfg(tmp_path, mu_count=0, slope=40)
+    del cfg["mu_values"]
+    assert cmd_dim(cfg, cache=False) == 0
+    lines = (tmp_path / "out" / "dim.csv").read_text().splitlines()
+    want = HopfModel2D(0.05, slope=40).K
+    assert want != HopfModel2D(0.05).K
+    assert f"# derived: K = {float(want)!r}" in lines
 
 
 def test_dim_negative_mu_flagged_no_hole(tmp_path):
