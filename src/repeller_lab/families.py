@@ -21,7 +21,6 @@ sqrt(t) whose derivative stays above 1 + sqrt(t) away from the hole.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,20 +161,6 @@ class LinearToy2D(_TenBranchTorus):
             self, symbol, self._linear_preimages(np.atleast_2d(points)))
 
 
-@functools.lru_cache(maxsize=64)
-def _family_constant(delta0, delta1, sigma1, slope, quad):
-    """K = inf of mu / mu_f over a positive mu grid, for one profile shape.
-
-    Depends only on the shape parameters, so every model sharing them
-    shares the 17 profile builds.
-    """
-    def rescale(m):
-        prof = build_phi(m, SQRT10, delta0, delta1, sigma1, slope=slope, quad=quad)
-        return m / (np.pi * circle_radius(prof) ** 2)
-
-    return min(rescale(m) for m in np.geomspace(1e-4, 0.1, 17))
-
-
 class HopfModel2D(_TenBranchTorus):
     """Planar hole model: linear action outside a disk, radial dip inside.
 
@@ -206,7 +191,13 @@ class HopfModel2D(_TenBranchTorus):
         self.w_star = self.rho_inv ** 2
         self.mu_f = float(np.pi) * self.rho_inv ** 2
         self.K_mu = self.mu / self.mu_f if self.mu_f > 0 else float("nan")
-        self.K = _family_constant(delta0, delta1, sigma1, slope, quad)
+
+        def rescale(m):
+            prof = build_phi(m, SQRT10, delta0, delta1, sigma1, slope=slope, quad=quad)
+            return m / (np.pi * circle_radius(prof) ** 2)
+
+        grid = np.geomspace(1e-4, 0.1, 17)
+        self.K = min(rescale(m) for m in grid)
         self.c0 = self.K / 256.0
         self.delta_mu = self.K * self.mu_f
         self.S = 1.0 / float(self.profile.value(self.w_star))
