@@ -6,9 +6,8 @@ combinatorial bounds, over a small zoo of torus families built around a
 neutral invariant circle born at an instability.
 """
 
-from .badsets import (CrossingPartition, DepthRow, SlowSetReport, WordCensus,
-                      a2_report, bad_volume, enumerate_slow_words,
-                      measure_slow_fractions, sn_partition)
+from .badsets import (CrossingPartition, DepthRow, WordCensus, a2_report,
+                      enumerate_slow_words, measure_slow_fractions, sn_partition)
 from .bounds import (BoundCheck, ChainCell, ChainReport,
                      binomial_sum_identity, count_patterns, delta_bound,
                      delta_peak, depth_threshold, entropy_bound,
@@ -19,9 +18,9 @@ from .families import (DiazVianaFamily, HopfModel2D, HopfModel3D, LinearToy2D,
                        TrapRegion, TriplingToy, cylinder_trap, disk_trap,
                        escape_time, invariant_circle_radius,
                        jacobian_bounds_check, survivor_grid, verify_trap)
-from .geometry import (DimensionEstimate, GridCover, Region, box_count,
-                       box_dimension, box_indices, counts_from_survivors,
-                       lebesgue_estimate, torus_distance, wrap)
+from .geometry import (DimensionEstimate, Region, box_dimension, box_indices,
+                       counts_from_survivors, lebesgue_estimate, torus_distance,
+                       wrap)
 from .holes import (CylinderGeometry, CylinderWord, ExpansionProfile,
                     MapWithHoles, check_word, phi_profile, pullback_witnesses,
                     refine_cylinder)
@@ -34,9 +33,8 @@ from .sweeps import cmd_a2, cmd_bounds, cmd_dim, cmd_induced, hole_survivors, ma
 __version__ = "0.1.0"
 
 __all__ = [
-    "CrossingPartition", "DepthRow", "SlowSetReport", "WordCensus",
-    "a2_report", "bad_volume", "enumerate_slow_words",
-    "measure_slow_fractions", "sn_partition",
+    "CrossingPartition", "DepthRow", "WordCensus", "a2_report",
+    "enumerate_slow_words", "measure_slow_fractions", "sn_partition",
     "BoundCheck", "ChainCell", "ChainReport", "binomial_sum_identity",
     "count_patterns", "delta_bound", "delta_peak", "depth_threshold",
     "entropy_bound", "lemma_cell_bound", "lt_constraints", "prefactor_bound",
@@ -46,9 +44,8 @@ __all__ = [
     "TrapRegion", "TriplingToy", "cylinder_trap", "disk_trap", "escape_time",
     "invariant_circle_radius", "jacobian_bounds_check", "survivor_grid",
     "verify_trap",
-    "DimensionEstimate", "GridCover", "Region", "box_count", "box_dimension",
-    "box_indices", "counts_from_survivors", "lebesgue_estimate",
-    "torus_distance", "wrap",
+    "DimensionEstimate", "Region", "box_dimension", "box_indices",
+    "counts_from_survivors", "lebesgue_estimate", "torus_distance", "wrap",
     "CylinderGeometry", "CylinderWord", "ExpansionProfile", "MapWithHoles",
     "check_word", "phi_profile", "pullback_witnesses", "refine_cylinder",
     "ExpansionCheck", "InducedExpander", "InducedHole", "build_induced",

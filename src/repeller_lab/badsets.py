@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import delta_bound, depth_threshold
-from .holes import CylinderWord, MapWithHoles, refine_cylinder
+from .holes import CylinderWord, MapWithHoles, propagate, refine_cylinder
 from .geometry import SNAP
 
 
@@ -121,78 +121,23 @@ def measure_slow_fractions(system: MapWithHoles, n_values, threshold=None, *,
     if samples < 1000:
         raise ValueError("too few samples for a meaningful estimate")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pos = rng.random((samples, system.d))
-    alive = np.ones(samples, dtype=bool)
     acc = np.zeros(samples)
+    slow = np.zeros(n_values[-1] + 1, dtype=np.int64)
 
+    def visit(t, rows, pos):
+        hole = system.in_hole(pos)
+        live = rows[~hole]
+        acc[live] += system.log_least_stretch(pos[~hole])
+        slow[t + 1] = np.count_nonzero(acc[live] <= (t + 1) * threshold + SNAP)
+        return hole
+
+    propagate(system.step, rng.random((samples, system.d)), n_values[-1] - 1, visit)
     out = {}
-    wanted = set(n_values)
-    for j in range(n_values[-1]):
-        alive[alive] &= ~system.in_hole(pos[alive])
-        if alive.any():
-            acc[alive] += system.log_least_stretch(pos[alive])
-            pos[alive] = system.step(pos[alive])
-        depth = j + 1
-        if depth in wanted:
-            bad = alive & (acc <= depth * threshold + SNAP)
-            p = bad.mean()
-            half = max(2.576 * np.sqrt(p * (1 - p) / samples), 5.3 / samples)
-            out[depth] = (float(p), float(half))
+    for n in n_values:
+        p = slow[n] / samples
+        half = max(2.576 * np.sqrt(p * (1 - p) / samples), 5.3 / samples)
+        out[n] = (float(p), float(half))
     return out
-
-
-# ------------------------------------------------------------ full report
-
-@dataclass(frozen=True)
-class SlowSetReport:
-    """Word census plus certified and measured volumes at one depth."""
-
-    n: int
-    threshold: float
-    census: WordCensus
-    resolution: float
-    vol_lo: float
-    vol_hi: float
-    empties: int
-    vol_mc: float
-    mc_halfwidth: float
-    samples: int
-
-    @property
-    def conclusive(self) -> bool:
-        return self.census.conclusive
-
-
-def bad_volume(system: MapWithHoles, n: int, threshold=None, *,
-               resolution: float = 2.0 ** -9, samples: int = 100_000,
-               seed: int = 0, max_words: int = 100_000,
-               witness_targets: int = 8) -> SlowSetReport:
-    """Two-sided volume of the depth-n slow set.
-
-    The certified upper volume sums the outer covers of every word the
-    floors could not exclude; distinct cylinders are disjoint, so the sum
-    is itself an upper bound.  When the enumeration was capped the word
-    side is inconclusive and the bracket degenerates to [0, nan]; the
-    Monte Carlo measurement is unaffected.
-    """
-    threshold = _resolve_threshold(system, threshold)
-    census = enumerate_slow_words(system, n, threshold, max_words=max_words)
-    vol_lo, vol_hi, empties = 0.0, 0.0, 0
-    if census.capped:
-        vol_hi = float("nan")
-    else:
-        for word in census.kept:
-            geo = refine_cylinder(system, word, resolution,
-                                  witness_targets=witness_targets, seed=seed)
-            vol_lo += geo.vol_lo
-            vol_hi += geo.vol_hi
-            empties += int(geo.empty)
-    frac, half = measure_slow_fractions(system, [n], threshold,
-                                        samples=samples, seed=seed)[n]
-    return SlowSetReport(n=n, threshold=threshold, census=census,
-                         resolution=resolution, vol_lo=vol_lo, vol_hi=vol_hi,
-                         empties=empties, vol_mc=frac, mc_halfwidth=half,
-                         samples=samples)
 
 
 # -------------------------------------------------- first-crossing partition

@@ -147,10 +147,6 @@ class SweepConfig:
     out: str
     raw: dict = field(default_factory=dict, compare=False)
 
-    @property
-    def hash(self) -> str:
-        return config_hash(self.resolved())
-
     def resolved(self) -> dict:
         cfg = dict(self.raw)
         cfg.update(family=self.family, mu_values=self.mu_values,
@@ -173,8 +169,9 @@ class SweepConfig:
             raise ConfigError("eps_base must be at least 2")
         k_lo = int(cfg.get("k_min", 1 if family == "tripling" else 3))
         k_hi = int(cfg.get("k_max", 8 if family == "tripling" else (7 if dim3 else 10)))
-        if k_hi < k_lo:
-            raise ConfigError("k_max must be >= k_min")
+        if k_hi - k_lo < 2 or base ** (k_hi - k_lo) < 8:
+            raise ConfigError(f"box ladder k_min = {k_lo} .. k_max = {k_hi} (base {base}) "
+                              "needs at least 3 scales spanning a factor of at least 8")
         grid_n = int(cfg.get("grid_n", 128 if dim3 else 1024))
         horizon = int(cfg.get("horizon", 100 if dim3 else 500))
         if dim3:  # budget caps: coarse by design

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Region, centered, wrap
-from .holes import MapWithHoles
+from .geometry import Region, centered, grid_centers, wrap
+from .holes import MapWithHoles, first_entry
 from .profiles import PhiProfile, build_phi, circle_radius, profile_3d
 
 SQRT10 = float(np.sqrt(10.0))
@@ -504,38 +504,15 @@ def escape_time(model, points, horizon: int, trap: TrapRegion | None = None):
         model._trap_checked = verify_trap(model, trap)
     model.trap_advisory = not model._trap_checked
 
-    n = len(pts)
-    steps = np.full(n, horizon, dtype=np.int64)
-    survives = np.ones(n, dtype=bool)
     if trap.empty:
-        return survives, steps
-
-    active_idx = np.arange(n)
-    pos = pts.copy()
-    caught = trap.contains(pos)
-    if caught.any():
-        survives[active_idx[caught]] = False
-        steps[active_idx[caught]] = 0
-        pos, active_idx = pos[~caught], active_idx[~caught]
-    for t in range(1, horizon + 1):
-        if len(pos) == 0:
-            break
-        pos = model.step(pos)
-        caught = trap.contains(pos)
-        if caught.any():
-            survives[active_idx[caught]] = False
-            steps[active_idx[caught]] = t
-            pos, active_idx = pos[~caught], active_idx[~caught]
-    return survives, steps
+        return np.ones(len(pts), dtype=bool), np.full(len(pts), horizon, dtype=np.int64)
+    return first_entry(model.step, pts, horizon, trap.contains)
 
 
 def survivor_grid(model, grid_n: int, horizon: int, trap: TrapRegion | None = None):
     """Grid points whose orbits avoid the trap for ``horizon`` steps."""
-    axes = [(np.arange(grid_n) + 0.5) / grid_n] * model.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    survives, _ = escape_time(model, pts, horizon, trap)
-    return pts[survives]
+    pts = grid_centers(model.d, grid_n)
+    return pts[escape_time(model, pts, horizon, trap)[0]]
 
 
 # =====================================================================
@@ -714,14 +691,6 @@ class DiazVianaFamily(MapWithHoles):
 
     def cell_bbox(self, symbol):
         return np.array([list(self.cells[symbol])])
-
-
-def tripling_toy() -> TriplingToy:
-    return TriplingToy()
-
-
-def linear_toy_2d() -> LinearToy2D:
-    return LinearToy2D()
 
 
 # =====================================================================

@@ -14,7 +14,6 @@ with a binomial confidence half-width at the 99% level.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -95,122 +94,10 @@ def box_indices(points: np.ndarray, k: int, base: int = 2) -> np.ndarray:
     return np.clip(idx, 0, n - 1)
 
 
-@dataclass(frozen=True)
-class GridCover:
-    """Occupancy mask over the regular base**-k grid of [0,1)^d.
-
-    The mask is flat, C-ordered over the d-dimensional index grid.  Covers
-    serialize to a run-length-encoded binary format with a 16-byte header
-    (magic ``GCV1``, dimension, base, level, occupied count) followed by
-    uint32 run lengths alternating empty/occupied, starting with empty.
-    """
-
-    d: int
-    base: int
-    k: int
-    mask: np.ndarray
-
-    MAGIC = b"GCV1"
-    _HEADER = struct.Struct("<4sBBHQ")
-
-    def __post_init__(self):
-        expected = (self.base ** self.k) ** self.d
-        if self.mask.shape != (expected,) or self.mask.dtype != np.bool_:
-            raise ValueError("mask must be flat boolean of length (base**k)**d")
-
-    @property
-    def epsilon(self) -> float:
-        return self.base ** -self.k
-
-    @property
-    def count(self) -> int:
-        return int(self.mask.sum())
-
-    @classmethod
-    def from_points(cls, points: np.ndarray, k: int, base: int = 2) -> "GridCover":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d = pts.shape[1]
-        n = base ** k
-        idx = box_indices(pts, k, base)
-        flat = np.zeros(n ** d, dtype=bool)
-        lin = np.zeros(len(pts), dtype=np.int64)
-        for j in range(d):
-            lin = lin * n + idx[:, j]
-        flat[lin] = True
-        return cls(d=d, base=base, k=k, mask=flat)
-
-    def to_bytes(self) -> bytes:
-        header = self._HEADER.pack(self.MAGIC, self.d, self.base, self.k, self.count)
-        # run lengths of alternating False/True stretches, starting with False
-        m = self.mask
-        if m.size == 0:
-            return header
-        change = np.flatnonzero(m[1:] != m[:-1]) + 1
-        bounds = np.concatenate(([0], change, [m.size]))
-        runs = np.diff(bounds).astype(np.uint64)
-        if m[0]:
-            runs = np.concatenate(([0], runs)).astype(np.uint64)
-        if runs.max(initial=0) >= 2 ** 32:
-            raise ValueError("run too long for uint32 encoding")
-        return header + runs.astype("<u4").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "GridCover":
-        magic, d, base, k, count = cls._HEADER.unpack_from(blob, 0)
-        if magic != cls.MAGIC:
-            raise ValueError("not a grid-cover blob (bad magic)")
-        runs = np.frombuffer(blob, dtype="<u4", offset=cls._HEADER.size).astype(np.int64)
-        total = (base ** k) ** d
-        mask = np.zeros(total, dtype=bool)
-        pos = 0
-        occupied = False
-        for r in runs:
-            if occupied:
-                mask[pos:pos + r] = True
-            pos += r
-            occupied = not occupied
-        if pos != total:
-            raise ValueError(f"run lengths sum to {pos}, expected {total}")
-        cover = cls(d=d, base=base, k=k, mask=mask)
-        if cover.count != count:
-            raise ValueError("occupied-box count disagrees with header")
-        return cover
-
-
-def box_count(sampler, eps: float, *, samples_per_box: int = 64,
-              seed: int = 0, rel_tol: float = 0.005, max_rounds: int = 12) -> int:
-    """Number of eps-grid boxes hit by samples of a set.
-
-    ``sampler`` is either an (N, d) array of points of the set, counted in
-    a single pass, or a callable ``sampler(budget, seed) -> (N, d) array``
-    that emits points of the set.  Callable samplers are drawn with
-    doubling budgets, accumulating occupancy, until the count grows by
-    less than ``rel_tol`` between rounds (so the default effort works out
-    to roughly ``samples_per_box`` draws per occupied box).  The result is
-    a lower bound for the true grid-cover count, converging to it as the
-    sample density grows.
-    """
-    base, k = scale_to_base(eps)
-    if isinstance(sampler, np.ndarray):
-        if sampler.size == 0:
-            raise ValueError("empty sample array")
-        return GridCover.from_points(sampler, k, base).count
-
-    if samples_per_box <= 0:
-        raise ValueError("sample budget must be positive")
-    occupied: set[tuple] = set()
-    budget = max(1024, samples_per_box)
-    prev = -1
-    for round_idx in range(max_rounds):
-        pts = np.atleast_2d(np.asarray(sampler(budget, seed + round_idx), dtype=float))
-        idx = box_indices(pts, k, base)
-        occupied.update(map(tuple, idx))
-        count = len(occupied)
-        if prev > 0 and count - prev <= rel_tol * prev:
-            break
-        prev = count
-        budget = max(budget * 2, samples_per_box * count)
-    return len(occupied)
+def grid_centers(d: int, n: int) -> np.ndarray:
+    """Centres (i + 1/2) / n of the n**d boxes of the regular grid, C-ordered."""
+    axes = [(np.arange(n) + 0.5) / n] * d
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,50 @@ import numpy as np
 from .geometry import Region, box_indices, scale_to_base, wrap
 
 
+def propagate(step, points, steps: int, visit) -> np.ndarray:
+    """Iterate ``step`` on the orbits of ``points`` until ``visit`` retires them.
+
+    ``visit(t, rows, pos)`` sees the original row indices of the orbits
+    still active and their positions after t steps, for t = 0..steps, and
+    returns a boolean mask over ``rows`` of the orbits to retire.  Only
+    active orbits are stepped, the loop stops once none is left, and no
+    step follows the last visit.  Returns each row's position at its last
+    visit (where it was retired, or after ``steps`` steps).
+    """
+    out = np.array(points, dtype=float, ndmin=2)
+    rows, pos = np.arange(len(out)), out
+    for t in range(steps + 1):
+        done = visit(t, rows, pos)
+        if done.any():
+            out[rows[done]] = pos[done]
+            rows, pos = rows[~done], pos[~done]
+        if t == steps or len(rows) == 0:
+            break
+        pos = step(pos)
+    out[rows] = pos
+    return out
+
+
+def first_entry(step, points, steps: int, absorbed):
+    """``(survives, entry)`` of each orbit against an absorbing set.
+
+    ``survives`` flags the orbits that stay out of ``absorbed`` (a
+    membership test) for ``steps`` steps; ``entry`` is the step at which
+    an orbit is first found inside, or ``steps`` for survivors.
+    """
+    survives = np.ones(len(points), dtype=bool)
+    entry = np.full(len(points), steps, dtype=np.int64)
+
+    def visit(t, rows, pos):
+        hit = absorbed(pos)
+        survives[rows[hit]] = False
+        entry[rows[hit]] = t
+        return hit
+
+    propagate(step, points, steps, visit)
+    return survives, entry
+
+
 class MapWithHoles:
     """Interface for branch-indexed expanding maps with holes.
 
@@ -151,20 +195,13 @@ class MapWithHoles:
         After a hole entry the remaining symbols of that row stay -1 (the
         orbit has left the system).
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        symbols = np.full((len(pts), n), -1, dtype=np.int64)
-        alive = np.ones(len(pts), dtype=bool)
-        pos = pts.copy()
-        for j in range(n):
-            if not alive.any():
-                break
-            sym = self.symbol_of(pos[alive])
-            symbols[alive, j] = sym
-            still = sym >= 0
-            idx = np.flatnonzero(alive)
-            alive[idx[~still]] = False
-            if alive.any():
-                pos[alive] = self.step(pos[alive])
+        symbols = np.full((len(np.atleast_2d(points)), n), -1, dtype=np.int64)
+
+        def visit(t, rows, pos):
+            symbols[rows, t] = self.symbol_of(pos)
+            return symbols[rows, t] < 0
+
+        propagate(self.step, points, n - 1, visit)
         return symbols
 
 

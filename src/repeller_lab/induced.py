@@ -24,7 +24,7 @@ import numpy as np
 
 from .badsets import CrossingPartition, sn_partition, _resolve_threshold
 from .bounds import delta_bound
-from .holes import MapWithHoles, pullback_witnesses
+from .holes import MapWithHoles, propagate, pullback_witnesses
 
 
 @dataclass(frozen=True)
@@ -54,36 +54,37 @@ class InducedExpander:
         total = sum(self.system.lambda_min(s) for s in word)
         return total - self.threshold * len(word)
 
-    def apply(self, points: np.ndarray):
+    def apply(self, points: np.ndarray, on_step=None):
         """Induced images, return times, and domain membership per point.
 
         Points in the induced hole (orbit enters the hole or fails to
         cross within n steps) come back with ok=False; their image row is
         the last computed position and their time the steps taken.
+        ``on_step(rows, pos)``, when given, sees the rows about to take
+        one more step and their positions.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        floors = [self.system.lambda_min(s) for s in range(self.system.n_branches)]
-        pos = pts.copy()
+        floors = np.array([self.system.lambda_min(s) for s in range(self.system.n_branches)])
+        acc = np.zeros(len(pts))
         tau = np.zeros(len(pts), dtype=np.int64)
         ok = np.zeros(len(pts), dtype=bool)
-        acc = np.zeros(len(pts))
-        active = np.ones(len(pts), dtype=bool)
-        for j in range(1, self.n + 1):
-            if not active.any():
-                break
-            sym = self.system.symbol_of(pos[active])
-            idx = np.flatnonzero(active)
-            dead = sym < 0
-            active[idx[dead]] = False
-            if not active.any():
-                break
-            idx = idx[~dead]
-            acc[idx] += np.asarray(floors)[sym[~dead]]
-            pos[idx] = self.system.step(pos[idx])
-            tau[idx] = j
-            crossed = acc[idx] > self.threshold * j
-            ok[idx[crossed]] = True
-            active[idx[crossed]] = False
+
+        def visit(t, rows, pos):
+            done = acc[rows] > self.threshold * t
+            ok[rows[done]] = True
+            if t == self.n:
+                done[:] = True
+            else:
+                live = np.flatnonzero(~done)
+                sym = self.system.symbol_of(pos[live])
+                done[live[sym < 0]] = True
+                acc[rows[~done]] += floors[sym[sym >= 0]]
+                if on_step is not None:
+                    on_step(rows[~done], pos[~done])
+            tau[rows[done]] = t
+            return done
+
+        pos = propagate(self.system.step, pts, self.n, visit)
         return pos, tau, ok
 
 
@@ -146,45 +147,26 @@ def verify_expansion(expander: InducedExpander, *, samples: int = 10_000,
                 words_checked += 1
     pts = np.concatenate(batches, axis=0)
 
-    floors = np.array([system.lambda_min(s) for s in range(system.n_branches)])
-    pos = pts.copy()
     prod = np.broadcast_to(np.eye(system.d), (len(pts), system.d, system.d)).copy()
-    acc = np.zeros(len(pts))
-    active = np.ones(len(pts), dtype=bool)
-    min_margin = np.inf
-    worst = np.full(system.d, np.nan)
-    checked = 0
-    for j in range(1, expander.n + 1):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        sym = system.symbol_of(pos[idx])
-        dead = sym < 0
-        active[idx[dead]] = False
-        idx = idx[~dead]
-        if len(idx) == 0:
-            break
-        prod[idx] = system.jacobian_matrices(pos[idx]) @ prod[idx]
-        acc[idx] += floors[sym[~dead]]
-        pos[idx] = system.step(pos[idx])
-        crossed = acc[idx] > thr * j
-        ret = idx[crossed]
-        if len(ret):
-            least = np.linalg.svd(prod[ret], compute_uv=False)[:, -1]
-            margins = np.log(least) - thr * j
-            w = int(np.argmin(margins))
-            if margins[w] < min_margin:
-                min_margin = float(margins[w])
-                worst = pts[ret[w]].copy()
-            checked += len(ret)
-            active[ret] = False
-    passed = bool(checked > 0 and min_margin >= -1e-9)
-    if checked == 0:
-        passed = True  # empty domain: nothing to violate
-        min_margin = float("nan")
+
+    def multiply(rows, pos):
+        prod[rows] = system.jacobian_matrices(pos) @ prod[rows]
+
+    _, tau, ok = expander.apply(pts, on_step=multiply)
+    ret = np.flatnonzero(ok)
+    ret = ret[np.argsort(tau[ret], kind="stable")]  # in the order they return
+    checked = len(ret)
+    if checked == 0:  # empty domain: nothing to violate
+        return ExpansionCheck(samples=samples, checked=0, words_checked=words_checked,
+                              min_margin=float("nan"), worst_point=np.full(system.d, np.nan),
+                              passed=True)
+    least = np.linalg.svd(prod[ret], compute_uv=False)[:, -1]
+    margins = np.log(least) - thr * tau[ret]
+    w = int(np.argmin(margins))
+    min_margin = float(margins[w])
     return ExpansionCheck(samples=samples, checked=checked,
                           words_checked=words_checked, min_margin=min_margin,
-                          worst_point=worst, passed=passed)
+                          worst_point=pts[ret[w]].copy(), passed=min_margin >= -1e-9)
 
 
 # ----------------------------------------------------------- induced hole

@@ -30,7 +30,8 @@ from .bounds import (count_patterns, delta_bound, depth_threshold,
 from .config import ConfigError, SweepConfig, config_hash, config_lines
 from .families import (DiazVianaFamily, HopfModel2D, HopfModel3D, LinearToy2D,
                        TriplingToy, survivor_grid)
-from .geometry import box_dimension, counts_from_survivors
+from .geometry import box_dimension, counts_from_survivors, grid_centers
+from .holes import first_entry
 from .induced import build_induced, induced_hole_volume, verify_expansion
 from .svgplot import SvgPlot
 
@@ -145,21 +146,8 @@ _DIM_COLUMNS = ("mu", "mu_f", "rho_inv", "dimension", "ci", "slope_raw",
 
 def hole_survivors(model, grid_n: int, horizon: int) -> np.ndarray:
     """Grid points whose orbit stays out of the hole for ``horizon`` steps."""
-    axes = [(np.arange(grid_n) + 0.5) / grid_n] * model.d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    alive = ~model.in_hole(pts)
-    pos = pts[alive].copy()
-    idx = np.flatnonzero(alive)
-    for _ in range(horizon):
-        if len(pos) == 0:
-            break
-        pos = model.step(pos)
-        ok = ~model.in_hole(pos)
-        pos, idx = pos[ok], idx[ok]
-    out = np.zeros(len(pts), dtype=bool)
-    out[idx] = True
-    return pts[out]
+    pts = grid_centers(model.d, grid_n)
+    return pts[first_entry(model.step, pts, horizon, model.in_hole)[0]]
 
 
 def _dim_row(sc: SweepConfig, mu: float, chash: str) -> dict:

@@ -5,7 +5,6 @@ import pytest
 
 from repeller_lab.badsets import (
     a2_report,
-    bad_volume,
     enumerate_slow_words,
     measure_slow_fractions,
     sn_partition,
@@ -121,20 +120,20 @@ def test_volume_bracket_contains_measurement():
     # the measured slow set lives inside the kept cylinders, so the Monte
     # Carlo value must sit below the certified outer volume
     model = HopfModel2D(0.1)
-    report = bad_volume(model, 8, samples=50_000, seed=3)
-    assert report.conclusive
-    assert report.vol_lo <= report.vol_hi
-    assert report.vol_mc <= report.vol_hi + report.mc_halfwidth
-    assert report.census.kept[0].symbols == (0,) * 8
+    [row] = a2_report(model, [8], samples=50_000, seed=3, witness_targets=8)
+    assert row.flag != "inconclusive"
+    assert row.kept == 1  # the slow branch loop (0,) * 8
+    assert row.vol_lo <= row.vol_hi
+    assert row.vol_mc <= row.vol_hi + row.mc_halfwidth
 
 
 def test_capped_volume_bracket_degenerates():
     model = HopfModel2D(0.1)
-    report = bad_volume(model, 6, threshold=2.0, max_words=100,
-                        samples=2000, seed=0)
-    assert not report.conclusive
-    assert np.isnan(report.vol_hi)
-    assert report.vol_lo == 0.0
+    [row] = a2_report(model, [6], threshold=2.0, max_words=100,
+                      samples=2000, seed=0, witness_targets=8)
+    assert row.flag == "inconclusive"
+    assert np.isnan(row.vol_hi)
+    assert row.vol_lo == 0.0
 
 
 # ------------------------------------------------- first-crossing partition

@@ -11,14 +11,13 @@ import pytest
 from repeller_lab.geometry import (
     SNAP,
     DimensionEstimate,
-    GridCover,
     Region,
-    box_count,
     box_dimension,
     box_indices,
     centered,
     counts_from_survivors,
     empty_region,
+    grid_centers,
     lebesgue_estimate,
     scale_to_base,
     torus_distance,
@@ -92,21 +91,20 @@ def test_box_indices_snap_right_at_edges():
 def test_unit_square_counts():
     rng = np.random.default_rng(7)
     pts = rng.random((40000, 2))
-    assert box_count(pts, 0.5) == 4
-    assert box_count(pts, 0.25) == 16
+    assert counts_from_survivors(pts, 2, [1, 2]) == [(0.5, 4), (0.25, 16)]
 
 
 def test_single_point_counts_one_box_at_every_scale():
     pt = np.array([[0.37, 0.81]])
-    for k in range(1, 8):
-        assert box_count(pt, 2.0 ** -k) == 1
+    ladder = counts_from_survivors(pt, 2, range(1, 8))
+    assert [count for _, count in ladder] == [1] * 7
 
 
 def test_cantor_counts_match_interval_enumeration():
     for k in range(1, 9):
         enumerated = cantor_boxes_by_enumeration(k)
         assert enumerated == 2 ** k  # closed form, proven by enumeration
-        counted = box_count(cantor_centers(k), 3.0 ** -k)
+        [(_, counted)] = counts_from_survivors(cantor_centers(k), 3, [k])
         assert counted == enumerated
 
 
@@ -118,23 +116,11 @@ def test_cantor_ladder_from_fine_centers():
         assert count == 2 ** k
 
 
-def test_callable_sampler_converges_on_square():
-    def sampler(budget, seed):
-        return np.random.default_rng(seed).random((budget, 2))
-
-    assert box_count(sampler, 0.25, seed=5) == 16
-
-
 def test_box_count_monotone_under_refinement():
     rng = np.random.default_rng(12)
     pts = rng.random((3000, 2)) * [[0.4, 0.9]]
-    counts = [box_count(pts, 2.0 ** -k) for k in range(1, 7)]
+    counts = [count for _, count in counts_from_survivors(pts, 2, range(1, 7))]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
-
-
-def test_box_count_rejects_empty_sample():
-    with pytest.raises(ValueError):
-        box_count(np.empty((0, 2)), 0.5)
 
 
 # ------------------------------------------------------ dimension fitting
@@ -202,38 +188,16 @@ def test_json_records_roundtrip_fields():
 
 # ------------------------------------------------------------- grid cover
 
-def test_grid_cover_roundtrip():
-    rng = np.random.default_rng(0)
-    pts = rng.random((500, 2)) * 0.3
-    cover = GridCover.from_points(pts, k=4, base=2)
-    blob = cover.to_bytes()
-    assert blob[:4] == b"GCV1"
-    back = GridCover.from_bytes(blob)
-    assert back.d == 2 and back.base == 2 and back.k == 4
-    assert back.count == cover.count
-    assert np.array_equal(back.mask, cover.mask)
-
-
-def test_grid_cover_roundtrip_extremes():
-    full = GridCover(d=1, base=2, k=3, mask=np.ones(8, dtype=bool))
-    none = GridCover(d=1, base=2, k=3, mask=np.zeros(8, dtype=bool))
-    for cover in (full, none):
-        back = GridCover.from_bytes(cover.to_bytes())
-        assert np.array_equal(back.mask, cover.mask)
-
-
-def test_grid_cover_rejects_corrupt_blob():
-    cover = GridCover.from_points(np.array([[0.1, 0.1]]), k=2, base=2)
-    blob = bytearray(cover.to_bytes())
-    blob[0:4] = b"XXXX"
-    with pytest.raises(ValueError, match="magic"):
-        GridCover.from_bytes(bytes(blob))
-
-
 def test_grid_cover_epsilon_and_count():
-    cover = GridCover.from_points(np.array([[0.1], [0.6], [0.61]]), k=1, base=2)
-    assert cover.epsilon == 0.5
-    assert cover.count == 2
+    pts = np.array([[0.1], [0.6], [0.61]])
+    assert counts_from_survivors(pts, 2, [1]) == [(0.5, 2)]
+
+
+def test_grid_centers_are_box_midpoints_in_c_order():
+    pts = grid_centers(2, 4)
+    assert pts.shape == (16, 2)
+    assert pts[0].tolist() == [0.125, 0.125] and pts[1].tolist() == [0.125, 0.375]
+    assert counts_from_survivors(pts, 2, [2]) == [(0.25, 16)]
 
 
 # -------------------------------------------------------- measure estimate
