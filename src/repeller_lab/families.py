@@ -30,7 +30,6 @@ from .holes import MapWithHoles, first_entry
 from .profiles import PhiProfile, build_phi, circle_radius, profile_3d
 
 SQRT10 = float(np.sqrt(10.0))
-_SNAP = 1e-12
 
 
 # =====================================================================
@@ -68,7 +67,7 @@ class _TenBranchTorus(MapWithHoles):
 
     def _linear_symbols(self, points) -> np.ndarray:
         y = centered(points) @ _A2.T
-        m = np.floor(y + 0.5 + _SNAP).astype(np.int64)
+        m = np.floor(y + 0.5).astype(np.int64)
         return (3 * m[:, 0] + m[:, 1]) % 10
 
     def symbol_of(self, points):

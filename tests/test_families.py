@@ -157,6 +157,21 @@ def test_cell_margin_matches_brute_force_bitwise():
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, symbol)
 
 
+def test_every_point_lies_in_the_cell_of_its_symbol():
+    # symbol_of and cell_margin must round a cell edge the same way; the
+    # first point has y = A x = (0.5 - 1e-13, 0.2), just below an edge
+    below_edge = wrap(np.array([[0.5 - 1e-13, 0.2]]) @ np.linalg.inv(A2).T)
+    edges = _box_edge_points(np.random.default_rng(17), 20_000)
+    pts = np.concatenate([below_edge, edges, np.nextafter(edges, 2.0),
+                          np.nextafter(edges, -1.0)])
+    for model in (LinearToy2D(), HopfModel2D(0.05)):
+        sym = model.symbol_of(pts)
+        margin = np.full(len(pts), np.inf)
+        for s in range(10):
+            margin[sym == s] = model.cell_margin(s, pts[sym == s])
+        assert np.all(margin[sym >= 0] >= 0), model.label
+
+
 def test_inverse_branches_roundtrip_and_hole_has_no_branch_zero_preimage():
     model = HopfModel2D(0.1)
     rng = np.random.default_rng(1)

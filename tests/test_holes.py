@@ -16,6 +16,7 @@ from repeller_lab.holes import (
     as_word,
     check_word,
     phi_profile,
+    propagate,
     pullback_witnesses,
     refine_cylinder,
 )
@@ -99,6 +100,53 @@ class LyingMarginTripling(TriplingToy):
 
 
 # ------------------------------------------------------------------ words
+
+# ------------------------------------------------------------ orbit engine
+
+class CountingShift:
+    """Fake model: one step adds 1 to every coordinate and is logged, so a
+    position of 10 r + t means row r has taken exactly t steps."""
+
+    def __init__(self):
+        self.stepped = []  # rows of each step call, read back from positions
+
+    def step(self, pos):
+        self.stepped.append((pos[:, 0] // 10).astype(int).tolist())
+        return pos + 1.0
+
+
+def test_propagate_steps_only_active_orbits():
+    model, seen = CountingShift(), {}
+    pts = np.array([[0.0], [10.0], [20.0]])
+
+    def visit(t, rows, pos):
+        seen[t] = rows.tolist()
+        assert np.all(pos[:, 0] == 10 * rows + t)
+        return (rows == 0) | ((rows == 1) & (t == 2))
+
+    out = propagate(model.step, pts, 4, visit)
+    assert seen == {0: [0, 1, 2], 1: [1, 2], 2: [1, 2], 3: [2], 4: [2]}
+    # row 0 retired at t = 0 is never stepped; no step follows the last visit
+    assert model.stepped == [[1, 2], [1, 2], [2], [2]]
+    # each row comes back where it was retired, or after all four steps
+    assert out[:, 0].tolist() == [0.0, 12.0, 24.0]
+    assert pts[:, 0].tolist() == [0.0, 10.0, 20.0]
+
+
+def test_propagate_stops_once_no_orbit_is_active():
+    model, visits = CountingShift(), []
+
+    def visit(t, rows, pos):
+        visits.append(t)
+        return np.full(len(rows), t == 2)
+
+    out = propagate(model.step, np.zeros((3, 2)), 100, visit)
+    assert visits == [0, 1, 2] and len(model.stepped) == 2
+    assert np.all(out == 2.0)
+    model = CountingShift()
+    assert np.all(propagate(model.step, np.ones((2, 1)), 0, visit) == 1.0)
+    assert model.stepped == []
+
 
 def test_word_validation():
     with pytest.raises(ValueError):

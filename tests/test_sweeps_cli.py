@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repeller_lab.cli import main
-from repeller_lab.config import (ConfigError, SweepConfig, config_hash,
-                                 parse_config)
+from repeller_lab.config import (KNOWN_FAMILIES, ConfigError, SweepConfig,
+                                 config_hash, parse_config)
 from repeller_lab.families import HopfModel2D
 from repeller_lab.svgplot import SvgPlot
 from repeller_lab.sweeps import (cache_dir, cache_get, cache_put, cmd_a2,
@@ -408,6 +408,26 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["dim", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert main(["dim"]) == 2  # no seed anywhere
+
+
+@pytest.mark.parametrize("ladder", ["k_min = 3\nk_max = 4\n",    # two scales
+                                    "k_min = 3\nk_max = 5\n"])   # factor 4 on base 2
+def test_cli_rejects_short_box_ladders(tmp_path, capsys, ladder):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("family = hopf2d\nmu_values = 0.1\ngrid_n = 32\nhorizon = 5\n"
+                   "seed = 0\n" + ladder)
+    assert main(["dim", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error: box ladder" in err
+    assert "needs at least 3 scales spanning a factor of at least 8" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_default_and_minimal_box_ladder_is_accepted():
+    for family in KNOWN_FAMILIES:
+        SweepConfig.from_mapping({"family": family, "seed": 0})
+    three = SweepConfig.from_mapping({"family": "tripling", "seed": 0, "k_min": 1, "k_max": 3})
+    assert three.k_values == (1, 2, 3)  # 3 ** 2 = 9 spans a factor of 8
 
 
 def test_cli_requires_subcommand():
