@@ -89,6 +89,10 @@ def test_sweep_config_defaults_and_caps():
 
     trip = SweepConfig.from_mapping({"family": "tripling", "seed": 0})
     assert trip.eps_base == 3 and trip.k_values == tuple(range(1, 9))
+    short = SweepConfig.from_mapping({"family": "tripling", "seed": 0, "k_max": 3})
+    assert short.k_values == (1, 2, 3)  # 3 ** 2 = 9 spans a factor of 8
+    for family in KNOWN_FAMILIES:  # every default box ladder is valid
+        SweepConfig.from_mapping({"family": family, "seed": 0})
 
 
 def test_sweep_config_validation():
@@ -421,13 +425,6 @@ def test_cli_rejects_short_box_ladders(tmp_path, capsys, ladder):
     assert "config error: box ladder" in err
     assert "needs at least 3 scales spanning a factor of at least 8" in err
     assert not (tmp_path / "out").exists()
-
-
-def test_every_default_and_minimal_box_ladder_is_accepted():
-    for family in KNOWN_FAMILIES:
-        SweepConfig.from_mapping({"family": family, "seed": 0})
-    three = SweepConfig.from_mapping({"family": "tripling", "seed": 0, "k_min": 1, "k_max": 3})
-    assert three.k_values == (1, 2, 3)  # 3 ** 2 = 9 spans a factor of 8
 
 
 def test_cli_requires_subcommand():
