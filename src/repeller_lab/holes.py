@@ -4,6 +4,9 @@ A map with holes is a piecewise smooth expanding map whose inverse
 branches are indexed by symbols 0..m; orbits falling into the hole leave
 the system.  ``MapWithHoles`` is the abstract interface consumed by the
 cylinder machinery below; concrete families live in ``families``.
+``propagate`` is the one active-set orbit loop: escape times, survivor
+grids, itineraries, the slow-set Monte Carlo and the induced map all
+iterate their orbits through it.
 
 Cylinders C(a_1,...,a_n) — the sets of points sharing a branch itinerary —
 are realized two-sidedly:
