@@ -1,4 +1,4 @@
-"""Flat key = value run configuration with includes and content hashing.
+"""Flat key = value run configuration, its schema, and content hashing.
 
 The format is deliberately tiny: one ``key = value`` pair per line, ``#``
 comments, blank lines ignored, and ``include other.cfg`` splicing another
@@ -7,13 +7,25 @@ are coerced to int/float/bool when they look like one, and comma lists
 become tuples.  A canonical sha256 prefix of the resolved mapping stamps
 every output file so rows can be traced back to the exact settings that
 produced them.
+
+Every driver reads its keys through ``read``, the one typed reader, into
+its view (``SweepConfig``, ``BoundsConfig``, ``A2Config``, ``InducedConfig``)
+before it writes anything; a bad value raises ``ConfigError`` naming its
+key.  Unused keys are left alone: ``sweep-all`` hands one mapping to all.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
+
+import numpy as np
+
+from .families import (DiazVianaFamily, HopfModel2D, HopfModel3D, LinearToy2D,
+                       TriplingToy)
 
 
 class ConfigError(ValueError):
@@ -29,24 +41,18 @@ def _coerce(text: str):
         return False
     if "," in token:
         return tuple(_coerce(part) for part in token.split(",") if part.strip())
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
     return token
 
 
-def parse_config(path) -> dict:
-    """Resolved key -> value mapping for a config file (with includes)."""
-    return _parse_file(Path(path), ())
-
-
-def _parse_file(path: Path, chain: tuple) -> dict:
-    """Parse one file; ``chain`` holds the resolved paths including it."""
+def parse_config(path, chain: tuple = ()) -> dict:
+    """Resolved key -> value mapping for a config file (with includes);
+    ``chain`` holds the resolved paths of the files including this one."""
+    path = Path(path)
     here = path.resolve()
     if here in chain:
         names = [p.name for p in chain[chain.index(here):]] + [here.name]
@@ -63,7 +69,7 @@ def _parse_file(path: Path, chain: tuple) -> dict:
             continue
         if line.startswith("include ") or line.startswith("include\t"):
             target = line.split(None, 1)[1].strip()
-            out.update(_parse_file(path.parent / target, chain))
+            out.update(parse_config(path.parent / target, chain))
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
@@ -91,97 +97,209 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(lines.encode()).hexdigest()[:12]
 
 
-def config_lines(cfg: dict) -> list[str]:
-    """Sorted ``key = value`` lines for embedding in output headers."""
-    return [f"{k} = {_canonical(cfg[k])}" for k in sorted(cfg)]
+def config_header(command: str, cfg: dict) -> list[str]:
+    """Output header lines: the command, the hash, then sorted ``key = value``."""
+    return [f"repeller-lab {command}", f"config_hash = {config_hash(cfg)}",
+            *(f"{k} = {_canonical(cfg[k])}" for k in sorted(cfg))]
 
 
-KNOWN_FAMILIES = ("hopf2d", "hopf3d", "tripling", "diaz-viana", "linear2d")
+def read(cfg: dict, key: str, kind, default=None, lo=None, hi=None, *,
+         strict: bool = False, choices=None):
+    """``cfg[key]`` checked as ``kind``, or ``default`` when the key is absent.
+
+    ``kind`` is str (one of ``choices``, when given), int or float, or
+    ``(int,)``/``(float,)`` for a non-empty comma list, where one scalar
+    counts as a list of one.  Numbers must be finite, ints integral
+    (``1e5`` reads as 100000), and each must lie within ``lo``/``hi``, the
+    bounds excluded when ``strict``.
+    """
+    if key not in cfg:
+        return default
+    value = cfg[key]
+    if kind is str:
+        if choices is not None and str(value) not in choices:
+            raise ConfigError(f"unknown {key} {str(value)!r}; expected one of "
+                              f"{', '.join(choices)}")
+        return str(value)
+    many = isinstance(kind, tuple)
+    kind = kind[0] if many else kind
+    items = value if many and isinstance(value, tuple) else (value,)
+    if not items:
+        raise ConfigError(f"{key} is an empty list")
+    for item in items:
+        try:
+            valid = (not isinstance(item, (bool, str)) and math.isfinite(item)
+                     and kind(item) == item)
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            expected = "an integer" if kind is int else "a finite number"
+            raise ConfigError(f"{key}: expected {expected}, got {item!r}")
+        if not ((lo is None or (item > lo if strict else item >= lo))
+                and (hi is None or (item < hi if strict else item <= hi))):
+            span = (f"{'>' if strict else '>='} {lo}" if hi is None else
+                    f"in ({lo}, {hi})" if strict else f"in [{lo}, {hi}]")
+            raise ConfigError(f"{key} must be {span}, got {item!r}")
+    numbers = tuple(kind(item) for item in items)
+    return numbers if many else numbers[0]
 
 
-def _mu_grid(cfg: dict):
+def read_seed(cfg: dict) -> int:
+    """The run seed, which must be set: there is no default for an RNG."""
+    if "seed" not in cfg:
+        raise ConfigError("seed must be set explicitly (config key or --seed)")
+    return read(cfg, "seed", int, lo=0)
+
+
+class Family(NamedTuple):
+    """A registered family: its constructor and what the drivers may ask of it."""
+
+    build: Callable   # (mu, knobs) -> model
+    symbols: bool     # symbol-coded: branch expansion floors for the induced map
+    c0: bool          # default threshold scale c0: the slow-set report applies
+
+
+KNOWN_FAMILIES = {
+    "hopf2d": Family(lambda mu, knobs: HopfModel2D(mu, **knobs), True, True),
+    "hopf3d": Family(lambda mu, knobs: HopfModel3D(mu, **knobs), False, False),
+    "tripling": Family(lambda mu, knobs: TriplingToy(), True, False),
+    "diaz-viana": Family(lambda mu, knobs: DiazVianaFamily(mu), True, True),
+    "linear2d": Family(lambda mu, knobs: LinearToy2D(), True, False),
+}
+
+
+def read_family(cfg: dict) -> tuple[str, Family]:
+    """The ``family`` key and its entry in the family table."""
+    name = read(cfg, "family", str, "hopf2d", choices=KNOWN_FAMILIES)
+    return name, KNOWN_FAMILIES[name]
+
+
+def read_knobs(cfg: dict) -> dict:
+    """The profile shape knobs set in ``cfg``; only hopf2d and hopf3d use them."""
+    return {k: read(cfg, k, float)
+            for k in ("delta0", "delta1", "sigma1", "slope", "quad") if k in cfg}
+
+
+def make_family(name: str, mu: float, cfg: dict | None = None):
+    """Instantiate a registered family at one parameter value."""
+    return read_family({"family": name})[1].build(mu, read_knobs(cfg or {}))
+
+
+class View(SimpleNamespace):
+    """One driver's validated settings, read from ``cfg`` by a subclass;
+    every view also carries ``out`` and ``raw``, the mapping as given."""
+
+    def __init__(self, cfg: dict, **values):
+        super().__init__(out=read(cfg, "out", str, "out"), raw=dict(cfg), **values)
+
+    def stamped(self, *keys, **values) -> dict:
+        """``raw`` overwritten by validated ``keys`` and ``values``: what outputs stamp."""
+        return {**self.raw, **{k: getattr(self, k) for k in keys}, **values}
+
+    def model(self, mu: float):
+        """The family at ``mu``; a model these parameters cannot build is a config error."""
+        try:
+            return make_family(self.family, mu, self.knobs)
+        except ValueError as exc:
+            raise ConfigError(f"{self.family} at mu = {mu!r}: {exc}") from exc
+
+
+def _mu_grid(cfg: dict) -> tuple:
     if "mu_values" in cfg:
-        vals = cfg["mu_values"]
-        if not isinstance(vals, tuple):
-            vals = (vals,)
-        return tuple(float(v) for v in vals)
-    if "mu_count" in cfg:
-        count = int(cfg["mu_count"])
-        if count < 0:
-            raise ConfigError("mu_count must be nonnegative")
-        if count == 0:
-            return ()
-        start = float(cfg.get("mu_start", 0.005))
-        stop = float(cfg.get("mu_stop", 0.1))
-        if count == 1:
-            return (start,)
-        spacing = str(cfg.get("mu_spacing", "linear"))
-        if spacing == "linear":
-            stepw = (stop - start) / (count - 1)
-            return tuple(start + i * stepw for i in range(count))
-        if spacing == "log":
-            if start <= 0 or stop <= 0:
-                raise ConfigError("log spacing needs positive mu endpoints")
-            import numpy as np
-            return tuple(float(v) for v in np.geomspace(start, stop, count))
-        raise ConfigError(f"unknown mu_spacing {spacing!r}")
-    return (0.1, 0.05, 0.02, 0.01, 0.005)
+        return read(cfg, "mu_values", (float,))
+    count = read(cfg, "mu_count", int, lo=0)
+    if count is None:
+        return (0.1, 0.05, 0.02, 0.01, 0.005)
+    start = read(cfg, "mu_start", float, 0.005)
+    stop = read(cfg, "mu_stop", float, 0.1)
+    spacing = read(cfg, "mu_spacing", str, "linear", choices=("linear", "log"))
+    if count <= 1:
+        return (start,)[:count]
+    if spacing == "linear":
+        stepw = (stop - start) / (count - 1)
+        return tuple(start + i * stepw for i in range(count))
+    if start <= 0 or stop <= 0:
+        raise ConfigError("log spacing needs positive mu endpoints")
+    return tuple(float(v) for v in np.geomspace(start, stop, count))
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    """Validated settings for a dimension sweep.
+class SweepConfig(View):
+    """Settings of a dimension sweep (``dim``).
 
-    ``k_values`` are grid depths: the box ladder is eps = base^-k.  The
-    raw mapping travels along so outputs can embed every resolved key.
+    ``k_values`` are grid depths: the box ladder is eps = base^-k.
     """
 
-    family: str
-    mu_values: tuple
-    eps_base: int
-    k_values: tuple
-    grid_n: int
-    horizon: int
-    samples: int
-    seed: int
-    out: str
-    raw: dict = field(default_factory=dict, compare=False)
-
-    def resolved(self) -> dict:
-        cfg = dict(self.raw)
-        cfg.update(family=self.family, mu_values=self.mu_values,
-                   eps_base=self.eps_base, k_values=self.k_values,
-                   grid_n=self.grid_n, horizon=self.horizon,
-                   samples=self.samples, seed=self.seed, out=self.out)
-        return cfg
-
-    @classmethod
-    def from_mapping(cls, cfg: dict) -> "SweepConfig":
-        family = str(cfg.get("family", "hopf2d"))
-        if family not in KNOWN_FAMILIES:
-            raise ConfigError(f"unknown family {family!r}; expected one of "
-                              f"{', '.join(KNOWN_FAMILIES)}")
-        if "seed" not in cfg:
-            raise ConfigError("seed must be set explicitly (config key or --seed)")
-        dim3 = family == "hopf3d"
-        base = int(cfg.get("eps_base", 3 if family == "tripling" else 2))
-        if base < 2:
-            raise ConfigError("eps_base must be at least 2")
-        k_lo = int(cfg.get("k_min", 1 if family == "tripling" else 3))
-        k_hi = int(cfg.get("k_max", 8 if family == "tripling" else (7 if dim3 else 10)))
+    def __init__(self, cfg: dict):
+        family, _ = read_family(cfg)
+        dim3, trip = family == "hopf3d", family == "tripling"
+        base = read(cfg, "eps_base", int, 3 if trip else 2, lo=2)
+        k_lo = read(cfg, "k_min", int, 1 if trip else 3)
+        k_hi = read(cfg, "k_max", int, 8 if trip else (7 if dim3 else 10))
         if k_hi - k_lo < 2 or base ** (k_hi - k_lo) < 8:
             raise ConfigError(f"box ladder k_min = {k_lo} .. k_max = {k_hi} (base {base}) "
                               "needs at least 3 scales spanning a factor of at least 8")
-        grid_n = int(cfg.get("grid_n", 128 if dim3 else 1024))
-        horizon = int(cfg.get("horizon", 100 if dim3 else 500))
+        grid_n = read(cfg, "grid_n", int, 128 if dim3 else 1024, lo=2)
+        horizon = read(cfg, "horizon", int, 100 if dim3 else 500, lo=1)
         if dim3:  # budget caps: coarse by design
             grid_n, horizon = min(grid_n, 128), min(horizon, 100)
-        if grid_n < 2 or horizon < 1:
-            raise ConfigError("grid_n must be >= 2 and horizon >= 1")
-        samples = int(cfg.get("samples", 100_000))
-        if samples < 100:
-            raise ConfigError("samples must be at least 100")
-        return cls(family=family, mu_values=_mu_grid(cfg), eps_base=base,
-                   k_values=tuple(range(k_lo, k_hi + 1)), grid_n=grid_n,
-                   horizon=horizon, samples=samples, seed=int(cfg["seed"]),
-                   out=str(cfg.get("out", "out")), raw=dict(cfg))
+        super().__init__(cfg, family=family, seed=read_seed(cfg), knobs=read_knobs(cfg),
+                         mu_values=_mu_grid(cfg), eps_base=base,
+                         k_values=tuple(range(k_lo, k_hi + 1)), grid_n=grid_n, horizon=horizon,
+                         samples=read(cfg, "samples", int, 100_000, lo=100))
+
+
+class BoundsConfig(View):
+    """Settings of the exact bound suite (``bounds``); ``grids`` are clipped."""
+
+    def __init__(self, cfg: dict):
+        grids, skipped = {}, []
+        for key, default, cap in (("cp_n_max", 20, 200), ("st_l_max", 1000, 5000),
+                                  ("en_l_max", 1000, 5000), ("lemma_l_max", 2000, 100_000)):
+            want = read(cfg, key, int, default)  # clipped to its exactness cap
+            grids[key] = min(want, cap)
+            if want > cap:
+                skipped.append(f"{key}={want} exceeds exactness cap {cap}")
+        super().__init__(cfg, grids=grids, skipped=skipped,
+                         alphabet_m=read(cfg, "alphabet_m", int, 9, lo=1),
+                         tau=read(cfg, "tau", float, 1.0, lo=0, strict=True),
+                         lemma_mu_values=read(cfg, "lemma_mu_values", (float,), (0.01, 0.02),
+                                              lo=0, hi=1, strict=True),
+                         sigma=read(cfg, "sigma", float, math.sqrt(10.0), lo=1, strict=True))
+
+
+class A2Config(View):
+    """Settings of the slow-set report (``a2``)."""
+
+    def __init__(self, cfg: dict):
+        family, spec = read_family(cfg)
+        if not spec.c0:
+            raise ConfigError("slow-set reports need a symbol-coded family: " + " or ".join(
+                name for name, f in KNOWN_FAMILIES.items() if f.c0))
+        mus = (0.02, 0.05, 0.1) if family == "hopf2d" else (0.1, 0.25, 0.5)
+        super().__init__(cfg, family=family, seed=read_seed(cfg), knobs=read_knobs(cfg),
+                         n_values=read(cfg, "n_values", (int,), tuple(range(4, 13)), lo=1),
+                         mu_values=read(cfg, "mu_values", (float,), mus),
+                         samples=read(cfg, "samples", int, 200_000, lo=1000),
+                         max_words=read(cfg, "max_words", int, 1_000_000),
+                         threshold=read(cfg, "threshold", float))
+
+
+class InducedConfig(View):
+    """Settings of the induced-expander report (``induced``); ``n0`` None
+    lets the depth envelope choose it, and ``mu`` falls back to the first
+    of ``mu_values``, then 0.1."""
+
+    def __init__(self, cfg: dict):
+        family, spec = read_family(cfg)
+        if not spec.symbols:
+            raise ConfigError("induced map needs a symbol-coded family")
+        threshold = read(cfg, "threshold", float)
+        if threshold is None and not spec.c0:
+            raise ConfigError(f"threshold must be set: {family} has no default "
+                              "threshold scale c0")
+        mu = (read(cfg, "mu", float) if "mu" in cfg
+              else read(cfg, "mu_values", (float,), (0.1,))[0])
+        super().__init__(cfg, family=family, seed=read_seed(cfg), knobs=read_knobs(cfg), mu=mu,
+                         n0=read(cfg, "n0", int, lo=1), threshold=threshold,
+                         samples=read(cfg, "samples", int, 10_000, lo=1),
+                         max_words=read(cfg, "max_words", int, 1_000_000))

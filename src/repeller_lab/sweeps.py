@@ -1,13 +1,14 @@
 """Sweep drivers: dimension runs, bound suites, slow-set reports, induced maps.
 
-Each driver takes a resolved config mapping, writes CSV/JSON/SVG files
-into the output directory, and returns a process exit code (0 = pass or
-advisory, 1 = a mathematical bound was violated; malformed configs raise
-ConfigError, which the command-line wrapper maps to 2).  Outputs embed
-the fully resolved config and its hash; wall-clock timings go to a .log
-sidecar so the data files are byte-identical across reruns.  Sweep rows
-are independent and run on a bounded thread pool; all writing happens on
-the calling thread after a deterministic sort.
+Each driver reads its config mapping into a validated view (config.py)
+before it creates the output directory, writes CSV/JSON/SVG files there,
+and returns a process exit code (0 = pass or advisory, 1 = a mathematical
+bound was violated; a malformed config raises ConfigError, which the
+command-line wrapper maps to 2).  Outputs embed the resolved config and
+its hash; wall-clock timings go to a .log sidecar so the data files are
+byte-identical across reruns.  Dim rows are independent and run on a
+bounded thread pool; all writing happens on the calling thread after a
+deterministic sort.
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ import math
 import os
 import time
 import warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -27,34 +30,14 @@ from .badsets import a2_report
 from .bounds import (count_patterns, delta_bound, depth_threshold,
                      entropy_bound, lemma_cell_bound, lt_constraints,
                      prefactor_bound, stirling_binomial_bound)
-from .config import ConfigError, SweepConfig, config_hash, config_lines
-from .families import (DiazVianaFamily, HopfModel2D, HopfModel3D, LinearToy2D,
-                       TriplingToy, survivor_grid)
+from .config import (A2Config, BoundsConfig, ConfigError, InducedConfig,
+                     SweepConfig, config_hash, config_header, make_family,
+                     read_family)
+from .families import survivor_grid
 from .geometry import box_dimension, counts_from_survivors, grid_centers
 from .holes import first_entry
 from .induced import build_induced, induced_hole_volume, verify_expansion
 from .svgplot import SvgPlot
-
-
-def make_family(name: str, mu: float, cfg: dict | None = None):
-    """Instantiate a registered family at one parameter value."""
-    cfg = cfg or {}
-    kw = {k: float(cfg[k]) for k in ("delta0", "delta1", "sigma1") if k in cfg}
-    if "slope" in cfg:
-        kw["slope"] = float(cfg["slope"])
-    if "quad" in cfg:
-        kw["quad"] = float(cfg["quad"])
-    if name == "hopf2d":
-        return HopfModel2D(mu, **kw)
-    if name == "hopf3d":
-        return HopfModel3D(mu, **kw)
-    if name == "tripling":
-        return TriplingToy()
-    if name == "diaz-viana":
-        return DiazVianaFamily(mu)
-    if name == "linear2d":
-        return LinearToy2D()
-    raise ConfigError(f"unknown family {name!r}")
 
 
 # ----------------------------------------------------------------- plumbing
@@ -72,27 +55,23 @@ def _fmt_cell(value) -> str:
 
 
 def _write_csv(path: Path, header_lines, columns, rows):
-    lines = [f"# {ln}" for ln in header_lines]
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row.get(c)) for c in columns))
+    lines = [*(f"# {ln}" for ln in header_lines), ",".join(columns)]
+    lines += [",".join(_fmt_cell(row.get(c)) for c in columns) for row in rows]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _header(command: str, cfg: dict) -> list[str]:
-    return [f"repeller-lab {command}", f"config_hash = {config_hash(cfg)}",
-            *config_lines(cfg)]
 
 
 def _mu_tag(mu: float) -> str:
     return f"{mu:g}".replace("-", "m")
 
 
-class _RunLog:
-    """Timing/cache sidecar; the only output allowed to differ between runs."""
+class _Run:
+    """One driver run: makes the output directory ``dir`` and keeps its timing
+    sidecar ``<name>.log``, the only output allowed to differ between runs."""
 
-    def __init__(self, path: Path):
-        self.path = path
+    def __init__(self, out: str, name: str):
+        self.dir = Path(out)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        self.path = self.dir / f"{name}.log"
         self.lines = [f"started {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
         self._t0 = time.time()
 
@@ -111,19 +90,17 @@ def cache_dir(out: Path, enabled: bool) -> Path | None:
     return Path(env) if env else out / ".cache"
 
 
+def _checksum(payload) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+
 def cache_get(cdir: Path | None, key: str):
     """Cached payload, or None on miss/corruption (checksum verified)."""
     if cdir is None:
         return None
-    path = cdir / f"{key}.json"
-    if not path.exists():
-        return None
     try:
-        blob = json.loads(path.read_text())
-        body = json.dumps(blob["payload"], sort_keys=True)
-        if hashlib.sha256(body.encode()).hexdigest() != blob["checksum"]:
-            return None
-        return blob["payload"]
+        blob = json.loads((cdir / f"{key}.json").read_text())
+        return blob["payload"] if _checksum(blob["payload"]) == blob["checksum"] else None
     except (ValueError, KeyError, OSError):
         return None
 
@@ -132,9 +109,7 @@ def cache_put(cdir: Path | None, key: str, payload):
     if cdir is None:
         return
     cdir.mkdir(parents=True, exist_ok=True)
-    body = json.dumps(payload, sort_keys=True)
-    blob = {"payload": payload,
-            "checksum": hashlib.sha256(body.encode()).hexdigest()}
+    blob = {"payload": payload, "checksum": _checksum(payload)}
     (cdir / f"{key}.json").write_text(json.dumps(blob, sort_keys=True))
 
 
@@ -151,14 +126,12 @@ def hole_survivors(model, grid_n: int, horizon: int) -> np.ndarray:
 
 
 def _dim_row(sc: SweepConfig, mu: float, chash: str) -> dict:
-    row = {"mu": mu, "badset_ref": "", "flags": "", "config_hash": chash}
+    row = dict.fromkeys(_DIM_COLUMNS[1:7], float("nan"))
+    row.update(mu=mu, survivors=0, badset_ref="", flags="", config_hash=chash)
     try:
-        model = make_family(sc.family, mu, sc.raw)
+        model = make_family(sc.family, mu, sc.knobs)
     except (ValueError, RuntimeError) as exc:
-        row.update(mu_f=float("nan"), rho_inv=float("nan"),
-                   dimension=float("nan"), ci=float("nan"),
-                   slope_raw=float("nan"), residual=float("nan"), survivors=0,
-                   flags=f"error:{exc}")
+        row["flags"] = f"error:{exc}"
         return row
     flags = []
     mu_f = float(getattr(model, "mu_f", 0.0))
@@ -177,9 +150,7 @@ def _dim_row(sc: SweepConfig, mu: float, chash: str) -> dict:
         pts = hole_survivors(model, sc.grid_n, sc.horizon)
     row.update(mu_f=mu_f, rho_inv=rho, survivors=len(pts))
     if len(pts) == 0:
-        row.update(dimension=float("nan"), ci=float("nan"),
-                   slope_raw=float("nan"), residual=float("nan"),
-                   flags="|".join(flags + ["error:empty survivor set"]))
+        row["flags"] = "|".join(flags + ["error:empty survivor set"])
         return row
     pairs = counts_from_survivors(pts, sc.eps_base, sc.k_values)
     est = box_dimension(pairs, model.d)
@@ -191,47 +162,37 @@ def _dim_row(sc: SweepConfig, mu: float, chash: str) -> dict:
 
 def cmd_dim(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
     """Dimension-vs-parameter sweep: survivor grids, regressions, CSV/SVG."""
-    sc = SweepConfig.from_mapping(cfg)
-    out = Path(sc.out)
-    out.mkdir(parents=True, exist_ok=True)
-    resolved = sc.resolved()
+    sc = SweepConfig(cfg)
+    resolved = sc.stamped("family", "mu_values", "eps_base", "k_values",
+                          "grid_n", "horizon", "samples", "seed", "out")
     chash = config_hash(resolved)
-    log = _RunLog(out / "dim.log")
-    cdir = cache_dir(out, cache)
+    header = config_header("dim", resolved)
+    if sc.family == "hopf2d":
+        probe = sc.model(0.05)
+        header += [f"derived: {name} = {float(getattr(probe, name))!r}"
+                   for name in ("sigma", "alpha", "K", "c0")]
+    run = _Run(sc.out, "dim")
+    cdir = cache_dir(run.dir, cache)
 
     mus = sorted(sc.mu_values)
-    rows: list = [None] * len(mus)
-    pending = []
-    for i, mu in enumerate(mus):
-        key = f"dim-{chash}-mu{_mu_tag(mu)}"
-        hit = cache_get(cdir, key)
-        if hit is not None:
-            rows[i] = hit
-            log.note(f"mu={mu:g}: cache hit ({key})")
-        else:
-            pending.append((i, mu, key))
+    keys = [f"dim-{chash}-mu{_mu_tag(mu)}" for mu in mus]
+    rows = [cache_get(cdir, key) for key in keys]
+    for mu, key, row in zip(mus, keys, rows):
+        if row is not None:
+            run.note(f"mu={mu:g}: cache hit ({key})")
 
-    def work(item):
-        i, mu, key = item
+    def work(i):
         t0 = time.time()
-        row = _dim_row(sc, mu, chash)
-        return i, key, row, time.time() - t0
+        return _dim_row(sc, mus[i], chash), time.time() - t0
 
-    if pending:
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            for i, key, row, dt in pool.map(work, pending):
-                rows[i] = row
-                cache_put(cdir, key, row)
-                log.note(f"mu={mus[i]:g}: computed in {dt:.2f}s")
+    pending = [i for i, row in enumerate(rows) if row is None]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        for i, (row, dt) in zip(pending, pool.map(work, pending)):
+            rows[i] = row
+            cache_put(cdir, keys[i], row)
+            run.note(f"mu={mus[i]:g}: computed in {dt:.2f}s")
 
-    header = _header("dim", resolved)
-    if sc.family == "hopf2d":
-        probe = make_family("hopf2d", 0.05, sc.raw)
-        header += [f"derived: sigma = {float(probe.sigma)!r}",
-                   f"derived: alpha = {float(probe.alpha)!r}",
-                   f"derived: K = {float(probe.K)!r}",
-                   f"derived: c0 = {float(probe.c0)!r}"]
-    _write_csv(out / "dim.csv", header, _DIM_COLUMNS, rows)
+    _write_csv(run.dir / "dim.csv", header, _DIM_COLUMNS, rows)
 
     plot = SvgPlot(title=f"box dimension vs mu ({sc.family})",
                    xlabel="mu", ylabel="box dimension")
@@ -241,9 +202,9 @@ def cmd_dim(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
         plot.errorbars(xs, [r["dimension"] for r in good],
                        [r["ci"] for r in good], label="BD estimate")
         plot.line(xs, [r["dimension"] for r in good])
-    (out / "dim.svg").write_text(plot.render())
-    log.note(f"wrote {len(rows)} rows")
-    log.flush()
+    (run.dir / "dim.svg").write_text(plot.render())
+    run.note(f"wrote {len(rows)} rows")
+    run.flush()
     return 0
 
 
@@ -251,17 +212,15 @@ def cmd_dim(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
 
 _BOUND_COLUMNS = ("check", "n", "l", "t", "mu", "exact", "bound", "pass")
 
-_CAPS = {"cp_n_max": 200, "st_l_max": 5000, "en_l_max": 5000,
-         "lemma_l_max": 100_000}
 
-
-def _bound_row(check, bc, cls, n=None, l=None, t=None, mu=None) -> dict:
+def _bound_row(check, bc, n=None, l=None, t=None, mu=None, *, probe=False) -> dict:
+    """One bounds.csv row; a sharpness ``probe`` is meant to fail (xfail)."""
+    verdict = "FAIL" if bc.ok == probe else ("xfail" if probe else "pass")
     return {"check": check, "n": n, "l": l, "t": t, "mu": mu,
-            "exact": bc.lhs if bc is not None else None,
-            "bound": bc.rhs if bc is not None else None, "pass": cls}
+            "exact": bc.lhs, "bound": bc.rhs, "pass": verdict}
 
 
-def cmd_bounds(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
+def cmd_bounds(cfg: dict) -> int:
     """Exact combinatorial bound suite over configurable grids.
 
     Emits the full verification matrix as CSV, a JSON summary with
@@ -269,87 +228,56 @@ def cmd_bounds(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
     probes (sharpness checks run with enforcement off) do not affect the
     exit code; unexpected failures exit 1.
     """
-    out = Path(str(cfg.get("out", "out")))
-    out.mkdir(parents=True, exist_ok=True)
-    log = _RunLog(out / "bounds.log")
+    suite = BoundsConfig(cfg)
+    run = _Run(suite.out, "bounds")
     rows: list[dict] = []
-    skipped: list[str] = []
-
-    def clip(key, default):
-        want = int(cfg.get(key, default))
-        if want > _CAPS.get(key, want):
-            skipped.append(f"{key}={want} exceeds exactness cap {_CAPS[key]}")
-            return _CAPS[key]
-        return want
-
-    cp_n = clip("cp_n_max", 20)
-    m = int(cfg.get("alphabet_m", 9))
+    cp_n, m = suite.grids["cp_n_max"], suite.alphabet_m
     for n in range(4, cp_n + 1):
         for l in range(1, n):
             for t in range(1, min(l, n - l) + 1):
-                bc = count_patterns(n, l, t, m)
-                rows.append(_bound_row("count_patterns", bc,
-                                       "pass" if bc.ok else "FAIL", n=n, l=l, t=t))
-    log.note(f"count_patterns grid n<={cp_n}: {len(rows)} cells")
+                rows.append(_bound_row("count_patterns", count_patterns(n, l, t, m),
+                                       n=n, l=l, t=t))
+    run.note(f"count_patterns grid n<={cp_n}: {len(rows)} cells")
 
-    st_l = clip("st_l_max", 1000)
+    st_l = suite.grids["st_l_max"]
     before = len(rows)
     for l in range(2, st_l + 1):
         for t in range(1, (l + 1) // 2):
-            bc = stirling_binomial_bound(l, t)
-            rows.append(_bound_row("stirling", bc,
-                                   "pass" if bc.ok else "FAIL", l=l, t=t))
-            pf = prefactor_bound(l, t)
-            rows.append(_bound_row("prefactor", pf,
-                                   "pass" if pf.ok else "FAIL", l=l, t=t))
-    log.note(f"stirling+prefactor grid l<={st_l}: {len(rows) - before} cells")
+            rows.append(_bound_row("stirling", stirling_binomial_bound(l, t), l=l, t=t))
+            rows.append(_bound_row("prefactor", prefactor_bound(l, t), l=l, t=t))
+    run.note(f"stirling+prefactor grid l<={st_l}: {len(rows) - before} cells")
 
-    en_l = clip("en_l_max", 1000)
-    tau = float(cfg.get("tau", 1.0))
+    en_l, tau = suite.grids["en_l_max"], suite.tau
     before = len(rows)
     kappa0 = math.exp(-1.0 / tau)
     for l in range(1, en_l + 1):
         for t in range(0, int(l * kappa0) + 1):
-            bc = entropy_bound(l, t, tau)
-            rows.append(_bound_row("entropy", bc,
-                                   "pass" if bc.ok else "FAIL", l=l, t=t))
-    log.note(f"entropy grid l<={en_l}: {len(rows) - before} cells")
+            rows.append(_bound_row("entropy", entropy_bound(l, t, tau), l=l, t=t))
+    run.note(f"entropy grid l<={en_l}: {len(rows) - before} cells")
 
     # sharpness probe: with a smaller slack factor the inequality genuinely
     # breaks above the admissible density, so this cell is expected to fail
-    bc = entropy_bound(400, 80, 0.5, enforce=False)
-    rows.append(_bound_row("entropy-probe", bc,
-                           "xfail" if not bc.ok else "FAIL", l=400, t=80))
+    rows.append(_bound_row("entropy-probe", entropy_bound(400, 80, 0.5, enforce=False),
+                           l=400, t=80, probe=True))
 
-    lemma_l = clip("lemma_l_max", 2000)
-    lemma_mus = cfg.get("lemma_mu_values", (0.01, 0.02))
-    if not isinstance(lemma_mus, tuple):
-        lemma_mus = (lemma_mus,)
+    lemma_l = suite.grids["lemma_l_max"]
     before = len(rows)
-    for mu in lemma_mus:
-        mu = float(mu)
+    for mu in suite.lemma_mu_values:
         cap = mu / (-4.0 * math.log(mu))
         for l in range(1, lemma_l + 1):
             for t in range(1, int(cap * l) + 1):
-                bc = lemma_cell_bound(l, t, mu)
-                rows.append(_bound_row("lemma-cell", bc,
-                                       "pass" if bc.ok else "FAIL",
+                rows.append(_bound_row("lemma-cell", lemma_cell_bound(l, t, mu),
                                        l=l, t=t, mu=mu))
-    log.note(f"lemma grid l<={lemma_l}: {len(rows) - before} cells")
+    run.note(f"lemma grid l<={lemma_l}: {len(rows) - before} cells")
 
-    sigma = float(cfg.get("sigma", math.sqrt(10.0)))
     for mu in (0.02, 0.05, 0.1):
         # largest admissible cell at l = 1000 under both letter caps
         l = 1000
-        n = l + max(1, int(mu / (8.0 * math.log(sigma)) * l))
+        n = l + max(1, int(mu / (8.0 * math.log(suite.sigma)) * l))
         t = max(1, int(mu / (-4.0 * math.log(mu)) * l))
-        outside, blocks = lt_constraints(n, l, t, mu, sigma)
-        rows.append(_bound_row("lt-outside", outside,
-                               "pass" if outside.ok else "FAIL",
-                               n=n, l=l, t=t, mu=mu))
-        rows.append(_bound_row("lt-blocks", blocks,
-                               "pass" if blocks.ok else "FAIL",
-                               n=n, l=l, t=t, mu=mu))
+        outside, blocks = lt_constraints(n, l, t, mu, suite.sigma)
+        rows.append(_bound_row("lt-outside", outside, n=n, l=l, t=t, mu=mu))
+        rows.append(_bound_row("lt-blocks", blocks, n=n, l=l, t=t, mu=mu))
         peak = int(math.ceil(8.0 / mu))
         for n in range(peak, peak + 10 * peak, peak):
             a, b = delta_bound(n + 1, mu), delta_bound(n, mu)
@@ -359,24 +287,22 @@ def cmd_bounds(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
 
     failures = [r for r in rows if r["pass"] == "FAIL"]
     expected = [r for r in rows if r["pass"] == "xfail"]
-    resolved = dict(cfg)
-    resolved.setdefault("out", str(out))
-    header = _header("bounds", resolved)
-    _write_csv(out / "bounds.csv", header, _BOUND_COLUMNS, rows)
+    resolved = {"out": suite.out, **suite.raw}  # the mapping as given
+    _write_csv(run.dir / "bounds.csv", config_header("bounds", resolved), _BOUND_COLUMNS, rows)
     summary = {
         "config": {k: str(v) for k, v in sorted(resolved.items())},
         "config_hash": config_hash(resolved),
         "total_cells": len(rows),
         "failed": [{k: r[k] for k in _BOUND_COLUMNS} for r in failures[:100]],
         "expected_failures": [{k: r[k] for k in _BOUND_COLUMNS} for r in expected],
-        "skipped": skipped,
+        "skipped": suite.skipped,
         "passed": not failures,
     }
-    (out / "bounds.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
+    (run.dir / "bounds.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
     verdict = "PASS" if not failures else "FAIL"
     print(f"BOUNDS: {verdict} ({len(rows)} cells, {len(failures)} failures, "
-          f"{len(expected)} expected failures, {len(skipped)} skipped grids)")
-    log.flush()
+          f"{len(expected)} expected failures, {len(suite.skipped)} skipped grids)")
+    run.flush()
     return 0 if not failures else 1
 
 
@@ -386,60 +312,30 @@ _A2_COLUMNS = ("n", "mu", "mu_f", "threshold", "kept", "pruned", "vol_lo",
                "vol_hi", "delta", "pass", "flag", "vol_mc", "mc_ci")
 
 
-def cmd_a2(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
+def cmd_a2(cfg: dict) -> int:
     """Slow-set volume vs depth envelope, with per-parameter SVG plots."""
-    family = str(cfg.get("family", "hopf2d"))
-    if family not in ("hopf2d", "diaz-viana"):
-        raise ConfigError("slow-set reports need a symbol-coded family: "
-                          "hopf2d or diaz-viana")
-    if "seed" not in cfg:
-        raise ConfigError("seed must be set explicitly (config key or --seed)")
-    seed = int(cfg["seed"])
-    out = Path(str(cfg.get("out", "out")))
-    out.mkdir(parents=True, exist_ok=True)
-    log = _RunLog(out / "a2.log")
-
-    n_values = cfg.get("n_values", tuple(range(4, 13)))
-    if not isinstance(n_values, tuple):
-        n_values = (n_values,)
-    n_values = tuple(int(n) for n in n_values)
-    if "mu_values" in cfg:
-        mus = cfg["mu_values"]
-        mus = mus if isinstance(mus, tuple) else (mus,)
-    else:
-        mus = (0.02, 0.05, 0.1) if family == "hopf2d" else (0.1, 0.25, 0.5)
-    samples = int(cfg.get("samples", 200_000))
-    max_words = int(cfg.get("max_words", 1_000_000))
-    threshold = float(cfg["threshold"]) if "threshold" in cfg else None
-
-    resolved = dict(cfg)
-    resolved.update(family=family, n_values=n_values,
-                    mu_values=tuple(float(m) for m in mus), samples=samples,
-                    max_words=max_words, out=str(out))
-    rows, failed = [], False
-    for mu in sorted(float(m) for m in mus):
+    a2 = A2Config(cfg)
+    models = [(mu, a2.model(mu)) for mu in sorted(a2.mu_values)]
+    run = _Run(a2.out, "a2")
+    resolved = a2.stamped("family", "n_values", "mu_values", "samples",
+                          "max_words", out=str(run.dir))
+    rows = []
+    for mu, model in models:
         t0 = time.time()
-        model = make_family(family, mu, cfg)
-        report = a2_report(model, n_values, threshold=threshold,
-                           samples=samples, seed=seed, max_words=max_words)
-        log.note(f"mu={mu:g}: {len(report)} depths in {time.time() - t0:.2f}s")
+        report = a2_report(model, a2.n_values, threshold=a2.threshold, samples=a2.samples,
+                           seed=a2.seed, max_words=a2.max_words)
+        run.note(f"mu={mu:g}: {len(report)} depths in {time.time() - t0:.2f}s")
         for r in report:
-            rows.append({"n": r.n, "mu": mu, "mu_f": r.mu_f,
-                         "threshold": r.threshold, "kept": r.kept,
-                         "pruned": r.pruned, "vol_lo": r.vol_lo,
-                         "vol_hi": r.vol_hi, "delta": r.delta,
-                         "pass": bool(r.passed), "flag": r.flag,
-                         "vol_mc": r.vol_mc, "mc_ci": r.mc_halfwidth})
-            failed = failed or r.flag == "fail"
+            rows.append({**asdict(r), "mu": mu, "pass": bool(r.passed),
+                         "mc_ci": r.mc_halfwidth})
 
         plot = SvgPlot(title=f"slow-set volume vs depth (mu={mu:g})",
                        xlabel="depth n", ylabel="volume",
                        ylog=all(r.delta > 0 for r in report if math.isfinite(r.delta))
                        and all(r.vol_mc + r.mc_halfwidth > 0 for r in report))
-        ns = [r.n for r in report]
         if any(math.isfinite(r.delta) for r in report):
-            plot.line(ns, [r.delta for r in report], label="depth envelope",
-                      dashed=True, color="#d62728")
+            plot.line([r.n for r in report], [r.delta for r in report],
+                      label="depth envelope", dashed=True, color="#d62728")
         conclusive = [r for r in report if r.flag != "inconclusive"]
         stuck = [r for r in report if r.flag == "inconclusive"]
         if conclusive:
@@ -453,67 +349,43 @@ def cmd_a2(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
                          [r.vol_mc + r.mc_halfwidth for r in stuck],
                          label="inconclusive (cap)", color="#8c564b",
                          open_marker=True)
-        (out / f"a2-mu{_mu_tag(mu)}.svg").write_text(plot.render())
+        (run.dir / f"a2-mu{_mu_tag(mu)}.svg").write_text(plot.render())
 
-    _write_csv(out / "a2.csv", _header("a2", resolved), _A2_COLUMNS, rows)
-    log.flush()
-    return 1 if failed else 0
+    _write_csv(run.dir / "a2.csv", config_header("a2", resolved), _A2_COLUMNS, rows)
+    run.flush()
+    return 1 if any(r["flag"] == "fail" for r in rows) else 0
 
 
 # ---------------------------------------------------------- induced reports
 
-def cmd_induced(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
+def cmd_induced(cfg: dict) -> int:
     """Build the induced expander, verify it, and emit a JSON report."""
-    family = str(cfg.get("family", "hopf2d"))
-    if "seed" not in cfg:
-        raise ConfigError("seed must be set explicitly (config key or --seed)")
-    seed = int(cfg["seed"])
-    out = Path(str(cfg.get("out", "out")))
-    out.mkdir(parents=True, exist_ok=True)
-    log = _RunLog(out / "induced.log")
-
-    if "mu" in cfg:
-        mu = float(cfg["mu"])
-    elif "mu_values" in cfg:
-        vals = cfg["mu_values"]
-        mu = float(vals[0] if isinstance(vals, tuple) else vals)
-    else:
-        mu = 0.1
-    model = make_family(family, mu, cfg)
-    if not hasattr(model, "lambda_min"):
-        raise ConfigError("induced map needs a symbol-coded family")
-    threshold = float(cfg["threshold"]) if "threshold" in cfg else None
-    if "n0" in cfg:
-        n0 = int(cfg["n0"])
-    else:
+    ic = InducedConfig(cfg)
+    model, n0 = ic.model(ic.mu), ic.n0
+    if n0 is None:
         mu_f = float(getattr(model, "mu_f", 0.0))
         n0 = depth_threshold(mu_f, model.delta_mu) if mu_f > 0 else 6
         if n0 is None:
             raise ConfigError("depth envelope never undercuts the hole volume; "
                               "set n0 explicitly")
-    samples = int(cfg.get("samples", 10_000))
-    max_words = int(cfg.get("max_words", 1_000_000))
+    run = _Run(ic.out, "induced")
 
-    degenerate = False
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        expander = build_induced(model, n0, threshold, max_words=max_words)
+        expander = build_induced(model, n0, ic.threshold, max_words=ic.max_words)
         degenerate = any("induced domain" in str(w.message) for w in caught)
     t0 = time.time()
-    check = verify_expansion(expander, samples=samples, seed=seed)
-    hole = induced_hole_volume(expander, samples=max(samples, 20_000), seed=seed)
-    log.note(f"verified in {time.time() - t0:.2f}s")
+    check = verify_expansion(expander, samples=ic.samples, seed=ic.seed)
+    hole = induced_hole_volume(expander, samples=max(ic.samples, 20_000), seed=ic.seed)
+    run.note(f"verified in {time.time() - t0:.2f}s")
 
-    hist: dict[int, int] = {}
-    for tau in expander.return_times:
-        hist[tau] = hist.get(tau, 0) + 1
+    hist = Counter(expander.return_times)
     margins = [expander.floor_margin(w) for w in expander.words]
-    resolved = dict(cfg)
-    resolved.update(family=family, mu=mu, n0=n0, samples=samples, out=str(out))
+    resolved = ic.stamped("family", "mu", "samples", n0=n0, out=str(run.dir))
     report = {
         "config": {k: str(v) for k, v in sorted(resolved.items())},
         "config_hash": config_hash(resolved),
-        "family": family, "mu": mu, "n0": n0,
+        "family": ic.family, "mu": ic.mu, "n0": n0,
         "threshold": float(expander.threshold),
         "degenerate_domain": degenerate,
         "domain_pieces": len(expander.words),
@@ -532,17 +404,19 @@ def cmd_induced(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
                  "passed": bool(hole.passed)},
         "passed": bool(check.passed and hole.passed),
     }
-    (out / "induced.json").write_text(json.dumps(report, sort_keys=True, indent=1))
-    log.flush()
+    (run.dir / "induced.json").write_text(json.dumps(report, sort_keys=True, indent=1))
+    run.flush()
     return 0 if report["passed"] else 1
 
 
 def sweep_all(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
-    """Run every driver that applies to the configured family."""
-    family = str(cfg.get("family", "hopf2d"))
-    code = cmd_dim(cfg, jobs=jobs, cache=cache)
-    code = max(code, cmd_bounds(cfg, jobs=jobs, cache=cache))
-    if family in ("hopf2d", "diaz-viana"):
-        code = max(code, cmd_a2(cfg, jobs=jobs, cache=cache))
-        code = max(code, cmd_induced(cfg, jobs=jobs, cache=cache))
+    """Run every driver that applies to the configured family (the slow-set
+    drivers need its threshold scale c0), once every one of them accepts
+    the config."""
+    slow_sets = read_family(cfg)[1].c0
+    for view in (SweepConfig, BoundsConfig) + ((A2Config, InducedConfig) if slow_sets else ()):
+        view(cfg)
+    code = max(cmd_dim(cfg, jobs=jobs, cache=cache), cmd_bounds(cfg))
+    if slow_sets:
+        code = max(code, cmd_a2(cfg), cmd_induced(cfg))
     return code

@@ -8,7 +8,7 @@ import pytest
 
 from repeller_lab.cli import main
 from repeller_lab.config import (KNOWN_FAMILIES, ConfigError, SweepConfig,
-                                 config_hash, parse_config)
+                                 config_hash, parse_config, read)
 from repeller_lab.families import HopfModel2D
 from repeller_lab.svgplot import SvgPlot
 from repeller_lab.sweeps import (cache_dir, cache_get, cache_put, cmd_a2,
@@ -77,51 +77,68 @@ def test_config_hash_sensitivity():
     assert config_hash({**base, "mu_values": (0.1, 0.05)}) != h
 
 
+def test_read_checks_type_and_range_naming_the_key():
+    cfg = {"n": 1e5, "k": 2.5, "flag": True, "x": float("nan"), "word": "abc",
+           "one": 3, "many": (1, 2.0), "none": (), "mu": 1.0}
+    assert read(cfg, "n", int) == 100_000 and isinstance(read(cfg, "n", int), int)
+    assert read(cfg, "one", (float,)) == (3.0,)  # a scalar is a list of one
+    assert read(cfg, "many", (int,), lo=1) == (1, 2)
+    assert read(cfg, "absent", int, 7) == 7 and read(cfg, "absent", float) is None
+    assert read(cfg, "mu", float, lo=0, hi=1) == 1.0
+    for key, kind in (("k", int), ("flag", int), ("x", float), ("word", float),
+                      ("many", float)):
+        with pytest.raises(ConfigError, match=f"^{key}: expected"):
+            read(cfg, key, kind)
+    with pytest.raises(ConfigError, match="^none is an empty list"):
+        read(cfg, "none", (float,))
+    with pytest.raises(ConfigError, match=r"^mu must be in \(0, 1\), got 1.0"):
+        read(cfg, "mu", float, lo=0, hi=1, strict=True)
+    with pytest.raises(ConfigError, match="^one must be >= 4, got 3"):
+        read(cfg, "one", int, lo=4)
+    with pytest.raises(ConfigError, match="^unknown word 'abc'; expected one of a, b"):
+        read(cfg, "word", str, choices=("a", "b"))
+
+
 def test_sweep_config_defaults_and_caps():
-    sc = SweepConfig.from_mapping({"family": "hopf2d", "seed": 3})
+    sc = SweepConfig({"family": "hopf2d", "seed": 3})
     assert sc.eps_base == 2 and sc.k_values == tuple(range(3, 11))
     assert sc.grid_n == 1024 and sc.horizon == 500
     assert sc.mu_values == (0.1, 0.05, 0.02, 0.01, 0.005)
 
-    sc3 = SweepConfig.from_mapping({"family": "hopf3d", "seed": 0,
-                                    "grid_n": 4096, "horizon": 900})
+    sc3 = SweepConfig({"family": "hopf3d", "seed": 0,
+                       "grid_n": 4096, "horizon": 900})
     assert sc3.grid_n == 128 and sc3.horizon == 100  # coarse budget caps
 
-    trip = SweepConfig.from_mapping({"family": "tripling", "seed": 0})
+    trip = SweepConfig({"family": "tripling", "seed": 0})
     assert trip.eps_base == 3 and trip.k_values == tuple(range(1, 9))
-    short = SweepConfig.from_mapping({"family": "tripling", "seed": 0, "k_max": 3})
+    short = SweepConfig({"family": "tripling", "seed": 0, "k_max": 3})
     assert short.k_values == (1, 2, 3)  # 3 ** 2 = 9 spans a factor of 8
     for family in KNOWN_FAMILIES:  # every default box ladder is valid
-        SweepConfig.from_mapping({"family": family, "seed": 0})
+        SweepConfig({"family": family, "seed": 0})
 
 
 def test_sweep_config_validation():
     with pytest.raises(ConfigError, match="unknown family"):
-        SweepConfig.from_mapping({"family": "lorenz", "seed": 0})
+        SweepConfig({"family": "lorenz", "seed": 0})
     with pytest.raises(ConfigError, match="seed"):
-        SweepConfig.from_mapping({"family": "hopf2d"})
+        SweepConfig({"family": "hopf2d"})
     with pytest.raises(ConfigError, match="k_max"):
-        SweepConfig.from_mapping({"family": "hopf2d", "seed": 0,
-                                  "k_min": 6, "k_max": 3})
+        SweepConfig({"family": "hopf2d", "seed": 0, "k_min": 6, "k_max": 3})
     with pytest.raises(ConfigError, match="mu_count"):
-        SweepConfig.from_mapping({"family": "hopf2d", "seed": 0,
-                                  "mu_count": -2})
+        SweepConfig({"family": "hopf2d", "seed": 0, "mu_count": -2})
     with pytest.raises(ConfigError, match="mu_spacing"):
-        SweepConfig.from_mapping({"family": "hopf2d", "seed": 0,
-                                  "mu_count": 3, "mu_spacing": "cubic"})
+        SweepConfig({"family": "hopf2d", "seed": 0,
+                     "mu_count": 3, "mu_spacing": "cubic"})
 
 
 def test_mu_grid_construction():
-    lin = SweepConfig.from_mapping({"family": "hopf2d", "seed": 0,
-                                    "mu_count": 3, "mu_start": 0.01,
-                                    "mu_stop": 0.03})
+    lin = SweepConfig({"family": "hopf2d", "seed": 0, "mu_count": 3,
+                       "mu_start": 0.01, "mu_stop": 0.03})
     np.testing.assert_allclose(lin.mu_values, (0.01, 0.02, 0.03))
-    logg = SweepConfig.from_mapping({"family": "hopf2d", "seed": 0,
-                                     "mu_count": 3, "mu_start": 0.01,
-                                     "mu_stop": 0.04, "mu_spacing": "log"})
+    logg = SweepConfig({"family": "hopf2d", "seed": 0, "mu_count": 3,
+                        "mu_start": 0.01, "mu_stop": 0.04, "mu_spacing": "log"})
     np.testing.assert_allclose(logg.mu_values, (0.01, 0.02, 0.04), rtol=1e-12)
-    empty = SweepConfig.from_mapping({"family": "hopf2d", "seed": 0,
-                                      "mu_count": 0})
+    empty = SweepConfig({"family": "hopf2d", "seed": 0, "mu_count": 0})
     assert empty.mu_values == ()
 
 
@@ -412,6 +429,76 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["dim", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert main(["dim"]) == 2  # no seed anywhere
+
+
+# (command, config text, key the error must name first); every value here
+# once died with a traceback and exit 1, and lemma_mu_values = 2 with a PASS
+_BAD_VALUES = [
+    ("bounds", "cp_n_max = abc", "cp_n_max"),
+    ("bounds", "lemma_mu_values = 1", "lemma_mu_values"),
+    ("bounds", "lemma_mu_values = 2", "lemma_mu_values"),
+    ("a2", "samples = many", "samples"),
+    ("a2", "n_values = 0", "n_values"),
+    ("induced", "mu = x", "mu"),
+    ("induced", "n0 = 0", "n0"),
+    ("induced", "family = tripling", "threshold"),
+    ("induced", "family = linear2d", "threshold"),
+    ("dim", "grid_n = big", "grid_n"),
+    ("dim", "mu_values = a,b", "mu_values"),
+]
+
+
+@pytest.mark.parametrize("command, text, key", _BAD_VALUES,
+                         ids=[f"{c}: {t}" for c, t, _ in _BAD_VALUES])
+def test_cli_bad_values_exit_two_naming_the_key(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} ") or err.startswith(f"config error: {key}:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("a2", "samples = 500", "samples"),             # dim accepts it, a2 does not
+    ("dim", "slope = steep", "slope"),              # a family knob
+    ("a2", "family = diaz-viana\nmu_values = 1.5", "diaz-viana at mu = 1.5"),
+    ("sweep-all", "samples = 500", "samples"),      # checked before dim writes
+])
+def test_cli_checks_whole_config_before_writing(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dim", "bounds", "a2", "induced", "sweep-all"])
+def test_cli_rejects_jobs_below_one(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--seed", "1", "--out", str(out), "--jobs", "0"]) == 2
+    assert "config error: --jobs 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "a2", "induced"])
+def test_cli_rejects_jobs_where_no_dim_rows_run(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    assert main([command, "--seed", "1", "--out", str(out), "--jobs", "2"]) == 2
+    assert f"config error: --jobs 2: {command} takes only --jobs 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cache", ["on", "off"])
+def test_cli_bounds_accepts_jobs_one_and_either_cache(tmp_path, cache):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in _SMALL_BOUNDS.items()))
+    out = tmp_path / "out"
+    assert main(["bounds", "--config", str(cfg), "--out", str(out),
+                 "--jobs", "1", "--cache", cache]) == 0
+    assert (out / "bounds.json").exists() and not (out / ".cache").exists()
 
 
 @pytest.mark.parametrize("ladder", ["k_min = 3\nk_max = 4\n",    # two scales
