@@ -8,9 +8,8 @@ neutral invariant circle born at an instability.
 
 from .badsets import (CrossingPartition, DepthRow, WordCensus, a2_report,
                       enumerate_slow_words, measure_slow_fractions, sn_partition)
-from .bounds import (BoundCheck, ChainCell, ChainReport,
-                     binomial_sum_identity, count_patterns, delta_bound,
-                     delta_peak, depth_threshold, entropy_bound,
+from .bounds import (BoundCheck, ChainCell, ChainReport, count_patterns,
+                     delta_bound, delta_peak, depth_threshold, entropy_bound,
                      lemma_cell_bound, lt_constraints, prefactor_bound,
                      stirling_binomial_bound, volume_chain_check)
 from .config import ConfigError, SweepConfig, config_hash, parse_config
@@ -19,11 +18,9 @@ from .families import (DiazVianaFamily, HopfModel2D, HopfModel3D, LinearToy2D,
                        escape_time, invariant_circle_radius,
                        jacobian_bounds_check, survivor_grid, verify_trap)
 from .geometry import (DimensionEstimate, Region, box_dimension, box_indices,
-                       counts_from_survivors, lebesgue_estimate, torus_distance,
-                       wrap)
-from .holes import (CylinderGeometry, CylinderWord, ExpansionProfile,
-                    MapWithHoles, check_word, phi_profile, pullback_witnesses,
-                    refine_cylinder)
+                       counts_from_survivors, lebesgue_estimate, wrap)
+from .holes import (CylinderGeometry, CylinderWord, MapWithHoles, check_word,
+                    pullback_witnesses, refine_cylinder)
 from .induced import (ExpansionCheck, InducedExpander, InducedHole,
                       build_induced, induced_hole_volume, verify_expansion)
 from .profiles import (CONDITION_NAMES, PhiProfile, ProfileError, build_phi,
@@ -35,19 +32,19 @@ __version__ = "0.1.0"
 __all__ = [
     "CrossingPartition", "DepthRow", "WordCensus", "a2_report",
     "enumerate_slow_words", "measure_slow_fractions", "sn_partition",
-    "BoundCheck", "ChainCell", "ChainReport", "binomial_sum_identity",
-    "count_patterns", "delta_bound", "delta_peak", "depth_threshold",
-    "entropy_bound", "lemma_cell_bound", "lt_constraints", "prefactor_bound",
-    "stirling_binomial_bound", "volume_chain_check",
+    "BoundCheck", "ChainCell", "ChainReport", "count_patterns", "delta_bound",
+    "delta_peak", "depth_threshold", "entropy_bound", "lemma_cell_bound",
+    "lt_constraints", "prefactor_bound", "stirling_binomial_bound",
+    "volume_chain_check",
     "ConfigError", "SweepConfig", "config_hash", "parse_config",
     "DiazVianaFamily", "HopfModel2D", "HopfModel3D", "LinearToy2D",
     "TrapRegion", "TriplingToy", "cylinder_trap", "disk_trap", "escape_time",
     "invariant_circle_radius", "jacobian_bounds_check", "survivor_grid",
     "verify_trap",
     "DimensionEstimate", "Region", "box_dimension", "box_indices",
-    "counts_from_survivors", "lebesgue_estimate", "torus_distance", "wrap",
-    "CylinderGeometry", "CylinderWord", "ExpansionProfile", "MapWithHoles",
-    "check_word", "phi_profile", "pullback_witnesses", "refine_cylinder",
+    "counts_from_survivors", "lebesgue_estimate", "wrap",
+    "CylinderGeometry", "CylinderWord", "MapWithHoles", "check_word",
+    "pullback_witnesses", "refine_cylinder",
     "ExpansionCheck", "InducedExpander", "InducedHole", "build_induced",
     "induced_hole_volume", "verify_expansion",
     "CONDITION_NAMES", "PhiProfile", "ProfileError", "build_phi",

@@ -12,7 +12,9 @@ below c.  Three views of it are computed and cross-checked:
   * a direct Monte Carlo measurement over the torus.
 
 The measured volume is compared against the depth-volume envelope
-``delta_bound`` evaluated at the family's effective parameter.
+``delta_bound`` evaluated at the family's effective parameter.  The word
+census and the first-crossing partition behind the induced map are two
+cut rules on one depth-first walk of the floor-based prefix tree.
 """
 
 from __future__ import annotations
@@ -34,6 +36,43 @@ def _resolve_threshold(system: MapWithHoles, threshold):
         raise TypeError(f"{system.label} has no default threshold scale c0; "
                         "pass threshold explicitly")
     return float(c0) * float(system.mu_f)
+
+
+# --------------------------------------------------------------- word walk
+
+def _walk(system: MapWithHoles, n: int, cut, max_words: int):
+    """Depth-first walk of the floor-based prefix tree down to depth n.
+
+    A prefix of length j whose floor sum ``total`` makes ``cut(j, total)``
+    true is cut: it is filed under ``cut_words[j - 1]`` and not extended.
+    Uncut prefixes reaching depth n are the leaves; the rest are expanded
+    along ``allowed_after``.  The walk stops (capped) once more than
+    ``max_words`` leaves exist.  Returns ``(cut_words, leaves, expanded,
+    capped)`` with every word a ``CylinderWord``.
+    """
+    if n < 1:
+        raise ValueError("depth must be at least 1")
+    floors = [system.lambda_min(s) for s in range(system.n_branches)]
+    cut_words, leaves, expanded, capped = [[] for _ in range(n)], [], 0, False
+    # entries are (parent, last letter, floor sum); a word is built only
+    # when popped, so each is copied into its CylinderWord at once
+    stack = [((), s, floors[s]) for s in range(system.n_branches)][::-1]
+    while stack:
+        parent, last, total = stack.pop()
+        word = parent + (last,)
+        j = len(word)
+        if cut(j, total):
+            cut_words[j - 1].append(CylinderWord(word))
+        elif j == n:
+            leaves.append(CylinderWord(word))
+            if len(leaves) > max_words:
+                capped = True
+                break
+        else:
+            expanded += 1
+            for s in system.allowed_after(last):
+                stack.append((word, s, total + floors[s]))
+    return cut_words, leaves, expanded, capped
 
 
 # ------------------------------------------------------------- word census
@@ -69,37 +108,18 @@ def enumerate_slow_words(system: MapWithHoles, n: int, threshold=None, *,
     the depth-n mean of per-branch floors above the threshold; since the
     floors bound the true per-step terms from below, every point of a cut
     prefix's cylinder has mean expansion above the threshold at depth n.
-    The enumeration stops (capped) once more than ``max_words`` prefixes
-    survive at once - the result is then a partial, inconclusive list.
+    The enumeration stops (capped) once more than ``max_words`` words
+    reach depth n - the result is then a partial, inconclusive list.
     """
     threshold = _resolve_threshold(system, threshold)
-    if n < 1:
-        raise ValueError("depth must be at least 1")
-    floors = [system.lambda_min(s) for s in range(system.n_branches)]
-    best_rest = min(floors)
+    best_rest = min(system.lambda_min(s) for s in range(system.n_branches))
     budget = n * threshold
-
-    kept, pruned, expanded, visited = [], 0, 0, 0
-    capped = False
-    stack = [((s,), floors[s]) for s in range(system.n_branches)][::-1]
-    while stack:
-        word, total = stack.pop()
-        visited += 1
-        j = len(word)
-        if total + (n - j) * best_rest > budget:
-            pruned += 1
-            continue
-        if j == n:
-            kept.append(CylinderWord(word))
-            if len(kept) > max_words:
-                capped = True
-                break
-            continue
-        expanded += 1
-        for s in system.allowed_after(word[-1]):
-            stack.append((word + (s,), total + floors[s]))
+    cut, kept, expanded, capped = _walk(
+        system, n, lambda j, total: total + (n - j) * best_rest > budget, max_words)
+    pruned = sum(map(len, cut))
     return WordCensus(n=n, threshold=threshold, kept=tuple(kept), pruned=pruned,
-                      expanded=expanded, visited=visited, capped=capped)
+                      expanded=expanded, visited=pruned + len(kept) + expanded,
+                      capped=capped)
 
 
 # ------------------------------------------------------------ measurement
@@ -151,6 +171,8 @@ class CrossingPartition:
     first exceeds the threshold at their last letter; ``remainder`` holds
     the depth-n words that never cross (the candidates for the slow set).
     Cylinders across all groups and the remainder are pairwise disjoint.
+    A ``capped`` partition (more than ``max_words`` words in the
+    remainder) is partial.
     """
 
     n: int
@@ -159,46 +181,15 @@ class CrossingPartition:
     remainder: tuple
     capped: bool
 
-    def group(self, k: int) -> tuple:
-        return self.groups[k]
-
 
 def sn_partition(system: MapWithHoles, n: int, threshold=None, *,
                  max_words: int = 100_000) -> CrossingPartition:
     """Partition itineraries by first certified crossing of the threshold."""
     threshold = _resolve_threshold(system, threshold)
-    if n < 1:
-        raise ValueError("depth must be at least 1")
-    floors = [system.lambda_min(s) for s in range(system.n_branches)]
-    groups = [[] for _ in range(n)]
-    frontier = [((), 0.0)]
-    capped = False
-    total = 0
-    for depth in range(1, n + 1):
-        new_frontier = []
-        for word, acc in frontier:
-            symbols = (range(system.n_branches) if not word
-                       else system.allowed_after(word[-1]))
-            for s in symbols:
-                acc2 = acc + floors[s]
-                child = word + (s,)
-                if acc2 > depth * threshold:
-                    groups[depth - 1].append(CylinderWord(child))
-                else:
-                    new_frontier.append((child, acc2))
-                total += 1
-                if total > max_words:
-                    capped = True
-                    break
-            if capped:
-                break
-        frontier = new_frontier
-        if capped:
-            break
-    remainder = tuple(CylinderWord(w) for w, _ in frontier) if not capped else ()
-    return CrossingPartition(n=n, threshold=threshold,
-                             groups=tuple(tuple(g) for g in groups),
-                             remainder=remainder, capped=capped)
+    cut, remainder, _, capped = _walk(
+        system, n, lambda j, total: total > j * threshold, max_words)
+    return CrossingPartition(n=n, threshold=threshold, groups=tuple(map(tuple, cut)),
+                             remainder=tuple(remainder), capped=capped)
 
 
 # ------------------------------------------------------------- depth sweep

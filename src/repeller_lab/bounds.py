@@ -26,7 +26,6 @@ __all__ = [
     "BoundCheck",
     "ChainCell",
     "ChainReport",
-    "binomial_sum_identity",
     "count_patterns",
     "delta_bound",
     "delta_peak",
@@ -125,16 +124,6 @@ def prefactor_bound(l: int, t: int) -> BoundCheck:
     rhs = t * Fraction(314159, 100000)
     return BoundCheck(name="pattern-prefactor", lhs=float(lhs), rhs=float(rhs),
                       ok=lhs <= rhs, params={"l": l, "t": t})
-
-
-def binomial_sum_identity(m: int) -> BoundCheck:
-    """Row-sum identity sum_j C(m,j) = 2^m, exact in integers."""
-    if not (0 <= m <= 64):
-        raise ValueError("identity is checked for 0 <= m <= 64")
-    lhs = sum(comb(m, j) for j in range(m + 1))
-    rhs = 2 ** m
-    return BoundCheck(name="binomial-row-sum", lhs=lhs, rhs=rhs,
-                      ok=lhs == rhs, params={"m": m})
 
 
 # -------------------------------------------------- depth/parameter caps

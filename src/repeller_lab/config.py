@@ -249,13 +249,19 @@ class SweepConfig(View):
 
 
 class BoundsConfig(View):
-    """Settings of the exact bound suite (``bounds``); ``grids`` are clipped."""
+    """Settings of the exact bound suite (``bounds``); ``grids`` are clipped.
+
+    Each grid must reach its first cell: a sub-suite that checks nothing
+    cannot pass.  The lemma grid has a cell at mu once l * cap(mu) >= 1,
+    where cap(mu) = mu / (-4 log mu) is the letter cap.
+    """
 
     def __init__(self, cfg: dict):
         grids, skipped = {}, []
-        for key, default, cap in (("cp_n_max", 20, 200), ("st_l_max", 1000, 5000),
-                                  ("en_l_max", 1000, 5000), ("lemma_l_max", 2000, 100_000)):
-            want = read(cfg, key, int, default)  # clipped to its exactness cap
+        for key, default, lo, cap in (("cp_n_max", 20, 4, 200), ("st_l_max", 1000, 3, 5000),
+                                      ("en_l_max", 1000, 1, 5000),
+                                      ("lemma_l_max", 2000, None, 100_000)):
+            want = read(cfg, key, int, default, lo=lo)  # clipped to its exactness cap
             grids[key] = min(want, cap)
             if want > cap:
                 skipped.append(f"{key}={want} exceeds exactness cap {cap}")
@@ -265,6 +271,11 @@ class BoundsConfig(View):
                          lemma_mu_values=read(cfg, "lemma_mu_values", (float,), (0.01, 0.02),
                                               lo=0, hi=1, strict=True),
                          sigma=read(cfg, "sigma", float, math.sqrt(10.0), lo=1, strict=True))
+        for mu in self.lemma_mu_values:
+            if int(mu / (-4.0 * math.log(mu)) * grids["lemma_l_max"]) < 1:
+                raise ConfigError(f"lemma_l_max = {grids['lemma_l_max']} checks no lemma cell "
+                                  f"at mu = {mu!r}; it needs at least "
+                                  f"{math.ceil(-4.0 * math.log(mu) / mu)}")
 
 
 class A2Config(View):

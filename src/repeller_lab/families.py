@@ -191,12 +191,8 @@ class HopfModel2D(_TenBranchTorus):
         self.mu_f = float(np.pi) * self.rho_inv ** 2
         self.K_mu = self.mu / self.mu_f if self.mu_f > 0 else float("nan")
 
-        def rescale(m):
-            prof = build_phi(m, SQRT10, delta0, delta1, sigma1, slope=slope, quad=quad)
-            return m / (np.pi * circle_radius(prof) ** 2)
-
         grid = np.geomspace(1e-4, 0.1, 17)
-        self.K = min(rescale(m) for m in grid)
+        self.K = min(m / (np.pi * invariant_circle_radius(self, m) ** 2) for m in grid)
         self.c0 = self.K / 256.0
         self.delta_mu = self.K * self.mu_f
         self.S = 1.0 / float(self.profile.value(self.w_star))

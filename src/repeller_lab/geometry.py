@@ -37,15 +37,6 @@ def centered(points: np.ndarray) -> np.ndarray:
     return (np.asarray(points, dtype=float) + 0.5) % 1.0 - 0.5
 
 
-def torus_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Flat-torus distance (minimum over integer translates), per point."""
-    d = np.abs(wrap(a) - wrap(b))
-    d = np.minimum(d, 1.0 - d)
-    if d.ndim == 1:
-        return float(np.sqrt(np.sum(d * d)))
-    return np.sqrt(np.sum(d * d, axis=-1))
-
-
 @dataclass(frozen=True)
 class Region:
     """A measurable subset of the torus described by a membership test.
@@ -67,12 +58,6 @@ class Region:
         if out.shape != (pts.shape[0],):
             raise ValueError("region membership must return one bool per point")
         return out
-
-
-def empty_region(d: int, label: str = "empty") -> Region:
-    bbox = np.array([[0.0, 1.0]] * d)
-    return Region(contains=lambda p: np.zeros(len(p), dtype=bool),
-                  bounding_box=bbox, volume=0.0, label=label)
 
 
 def scale_to_base(eps: float) -> tuple[int, int]:
@@ -117,15 +102,6 @@ class DimensionEstimate:
     residual: float
     ci: float
     warnings: tuple = field(default=())
-
-    @property
-    def dimension(self) -> float:
-        return self.slope
-
-    def to_json_records(self) -> list[dict]:
-        return [{"epsilon": float(e), "count": int(c),
-                 "slope": self.slope, "ci": self.ci}
-                for e, c in self.pairs]
 
 
 def box_dimension(pairs: Sequence[tuple], ambient_dim: int) -> DimensionEstimate:

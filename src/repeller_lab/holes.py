@@ -1,4 +1,4 @@
-"""Piecewise expanding maps with holes, cylinders, and expansion profiles.
+"""Piecewise expanding maps with holes and their cylinders.
 
 A map with holes is a piecewise smooth expanding map whose inverse
 branches are indexed by symbols 0..m; orbits falling into the hole leave
@@ -17,16 +17,11 @@ are realized two-sidedly:
   * inner witnesses, produced by pulling a sample of the final branch
     domain back through the inverse branches and verifying the forward
     itinerary.
-
-The expansion profile of a word collects the running means phi_j of the
-per-step least log-stretch terms, with a certified lower bound from
-per-branch infima and an upper bound from the witness minima.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -392,70 +387,3 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
         raise RuntimeError("outer cover does not contain a verified witness: "
                            "certification bookkeeping is inconsistent")
     return geometry
-
-
-# -------------------------------------------------------------- profiles
-
-@dataclass(frozen=True)
-class ExpansionProfile:
-    """Running means phi_1..phi_n of per-step least log-stretch terms.
-
-    ``values`` uses the witness minima for the per-step infima (an upper
-    bound for the true infimum over the cylinder); ``lower`` replaces each
-    per-step term with the certified per-branch infimum, giving a lower
-    bound.  ``product_ok`` records the derivative-product consistency
-    check at the witnesses: least stretch of Df^n >= e^{n phi_n}.
-    """
-
-    word: CylinderWord
-    values: tuple
-    lower: tuple
-    step_infima: tuple
-    step_floors: tuple
-    n_witnesses: int
-    product_ok: bool
-    empty: bool = False
-
-    def __len__(self):
-        return len(self.values)
-
-
-def _empty_profile(word: CylinderWord) -> ExpansionProfile:
-    return ExpansionProfile(word=word, values=(), lower=(), step_infima=(),
-                            step_floors=(), n_witnesses=0, product_ok=True,
-                            empty=True)
-
-
-def phi_profile(system: MapWithHoles, word, *, witnesses: np.ndarray | None = None,
-                witness_targets: int = 24, seed: int = 0) -> ExpansionProfile:
-    """Expansion profile of a cylinder word from inner witnesses.
-
-    Propagates an empty marker when the cylinder has no verified witness
-    (so no profile can be measured).
-    """
-    word = as_word(word)
-    if witnesses is None:
-        witnesses = pullback_witnesses(system, word, targets=witness_targets, seed=seed)
-    if len(witnesses) == 0:
-        return _empty_profile(word)
-
-    n = len(word)
-    pos = np.atleast_2d(np.asarray(witnesses, dtype=float)).copy()
-    prod = np.broadcast_to(np.eye(system.d), (len(pos), system.d, system.d)).copy()
-    infima, floors = [], []
-    for j in range(n):
-        vals = system.log_least_stretch(pos)
-        infima.append(float(vals.min()))
-        floors.append(system.lambda_min(word[j]))
-        prod = system.jacobian_matrices(pos) @ prod
-        pos = system.step(pos)
-
-    steps = np.arange(1, n + 1)
-    values = tuple(np.cumsum(infima) / steps)
-    lower = tuple(np.cumsum(floors) / steps)
-
-    least = np.linalg.svd(prod, compute_uv=False)[:, -1]
-    product_ok = bool(np.all(np.log(least) >= n * values[-1] - 1e-9))
-    return ExpansionProfile(word=word, values=values, lower=lower,
-                            step_infima=tuple(infima), step_floors=tuple(floors),
-                            n_witnesses=len(witnesses), product_ok=product_ok)

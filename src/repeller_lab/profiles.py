@@ -209,18 +209,15 @@ class PhiProfile:
 
 
 def build_phi(mu: float, sigma: float, delta0: float = 0.02, delta1: float = 0.01,
-              sigma1: float = 1.2, *, slope: float = 60.0, quad: float = 0.0,
-              grid: int = 2048) -> PhiProfile:
+              sigma1: float = 1.2, *, slope: float = 60.0, quad: float = 0.0) -> PhiProfile:
     """Construct and fully verify a radial multiplier profile.
 
     Infeasible parameter combinations raise ``ProfileError`` naming the
-    violated condition.  The dense-grid verification (``grid`` points)
-    runs at construction, so a returned profile is always conformant.
+    violated condition.  The dense-grid verification runs once, in
+    ``PhiProfile.__post_init__``, so a returned profile is always conformant.
     """
-    profile = PhiProfile(mu=mu, sigma=sigma, delta0=delta0, delta1=delta1,
-                         sigma1=sigma1, slope=slope, quad=quad)
-    profile.verify_conditions(grid)
-    return profile
+    return PhiProfile(mu=mu, sigma=sigma, delta0=delta0, delta1=delta1,
+                      sigma1=sigma1, slope=slope, quad=quad)
 
 
 def circle_radius(profile: PhiProfile, tol: float = 1e-12) -> float:

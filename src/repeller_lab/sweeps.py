@@ -167,8 +167,8 @@ def cmd_dim(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
                           "grid_n", "horizon", "samples", "seed", "out")
     chash = config_hash(resolved)
     header = config_header("dim", resolved)
+    probe = sc.model(0.05)  # knobs the family rejects at every mu are a config error
     if sc.family == "hopf2d":
-        probe = sc.model(0.05)
         header += [f"derived: {name} = {float(getattr(probe, name))!r}"
                    for name in ("sigma", "alpha", "K", "c0")]
     run = _Run(sc.out, "dim")
@@ -368,12 +368,14 @@ def cmd_induced(cfg: dict) -> int:
         if n0 is None:
             raise ConfigError("depth envelope never undercuts the hole volume; "
                               "set n0 explicitly")
-    run = _Run(ic.out, "induced")
-
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         expander = build_induced(model, n0, ic.threshold, max_words=ic.max_words)
         degenerate = any("induced domain" in str(w.message) for w in caught)
+    if expander.partition.capped:
+        raise ConfigError(f"max_words = {ic.max_words} is exceeded by the words reaching "
+                          f"depth n0 = {n0}: the partition is incomplete; raise max_words")
+    run = _Run(ic.out, "induced")
     t0 = time.time()
     check = verify_expansion(expander, samples=ic.samples, seed=ic.seed)
     hole = induced_hole_volume(expander, samples=max(ic.samples, 20_000), seed=ic.seed)

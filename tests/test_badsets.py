@@ -10,7 +10,7 @@ from repeller_lab.badsets import (
     sn_partition,
 )
 from repeller_lab.bounds import delta_bound, depth_threshold
-from repeller_lab.families import DiazVianaFamily, HopfModel2D, TriplingToy
+from repeller_lab.families import DiazVianaFamily, HopfModel2D, LinearToy2D, TriplingToy
 from repeller_lab.geometry import wrap
 from repeller_lab.holes import MapWithHoles
 
@@ -162,6 +162,54 @@ def test_partition_is_a_prefix_code_with_full_mass():
     # under the uniform branch measure a complete prefix code has mass one
     mass = sum((1.0 / 10.0) ** len(w) for w in words)
     assert mass == pytest.approx(1.0, abs=1e-12)
+
+
+def bfs_partition(system, n, threshold):
+    """Reference first-crossing partition by a breadth-first walk, uncapped:
+    (words cut at each depth, depth-n words that never cross)."""
+    floors = [system.lambda_min(s) for s in range(system.n_branches)]
+    groups = [[] for _ in range(n)]
+    frontier = [((), 0.0)]
+    for depth in range(1, n + 1):
+        new_frontier = []
+        for word, acc in frontier:
+            symbols = (range(system.n_branches) if not word
+                       else system.allowed_after(word[-1]))
+            for s in symbols:
+                acc2 = acc + floors[s]
+                if acc2 > depth * threshold:
+                    groups[depth - 1].append(word + (s,))
+                else:
+                    new_frontier.append((word + (s,), acc2))
+        frontier = new_frontier
+    return groups, [w for w, _ in frontier]
+
+
+@pytest.mark.parametrize("system, threshold", [
+    (HopfModel2D(0.02), None), (HopfModel2D(0.1), None), (HopfModel2D(0.1), 0.3),
+    (HopfModel2D(0.1), 0.7), (TriplingToy(), 0.25 / 3.0), (TriplingToy(), 2.0),
+    (DiazVianaFamily(0.25), None), (LinearToy2D(), 1.0)],
+    ids=["hopf2d-0.02", "hopf2d-0.1", "hopf2d-0.1-t0.3", "hopf2d-0.1-t0.7",
+         "tripling-fast", "tripling-slow", "diaz-viana-0.25", "linear2d"])
+def test_partition_matches_breadth_first_reference(system, threshold):
+    for n in range(1, 7):
+        part = sn_partition(system, n, threshold)
+        groups, remainder = bfs_partition(system, n, part.threshold)
+        assert not part.capped
+        assert [{w.symbols for w in g} for g in part.groups] == [set(g) for g in groups]
+        assert [len(g) for g in part.groups] == [len(g) for g in groups]
+        assert {w.symbols for w in part.remainder} == set(remainder)
+        assert len(part.remainder) == len(remainder)
+
+
+def test_partition_cap_counts_words_reaching_depth_n():
+    # max_words bounds the depth-n words, as in the census: the 9 * 8 cut
+    # words do not count, the one slow loop reaching depth 8 does
+    model = HopfModel2D(0.1)
+    part = sn_partition(model, 8, max_words=1)
+    assert not part.capped
+    assert sum(map(len, part.groups)) == 72 and len(part.remainder) == 1
+    assert sn_partition(model, 4, threshold=2.0, max_words=50).capped
 
 
 def test_partition_for_uniformly_fast_families():

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repeller_lab.bounds import (
-    binomial_sum_identity,
     count_patterns,
     delta_bound,
     delta_peak,
@@ -131,14 +130,6 @@ def test_prefactor_bound_exact_rationals():
             assert Fraction((4 * l + 1) ** 2, 16 * l ** 2) <= t * Fraction(314159, 100000)
     with pytest.raises(ValueError):
         prefactor_bound(0, 1)
-
-
-def test_binomial_row_sum_identity():
-    for m in (0, 1, 5, 31, 64):
-        chk = binomial_sum_identity(m)
-        assert chk.ok and chk.lhs == 2 ** m
-    with pytest.raises(ValueError):
-        binomial_sum_identity(65)
 
 
 # ----------------------------------------------------------- parameter caps

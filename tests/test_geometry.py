@@ -16,11 +16,9 @@ from repeller_lab.geometry import (
     box_indices,
     centered,
     counts_from_survivors,
-    empty_region,
     grid_centers,
     lebesgue_estimate,
     scale_to_base,
-    torus_distance,
     wrap,
 )
 
@@ -59,15 +57,6 @@ def test_wrap_and_centered():
     p = np.array([[1.25, -0.25], [0.5, 0.999]])
     assert np.allclose(wrap(p), [[0.25, 0.75], [0.5, 0.999]])
     assert np.allclose(centered(p), [[0.25, -0.25], [-0.5, -0.001]])
-
-
-def test_torus_distance_wraps_around():
-    a = np.array([0.05, 0.5])
-    b = np.array([0.95, 0.5])
-    assert torus_distance(a, b) == pytest.approx(0.1)
-    many = torus_distance(np.array([[0.05, 0.5], [0.0, 0.0]]),
-                          np.array([[0.95, 0.5], [0.5, 0.5]]))
-    assert many == pytest.approx([0.1, np.sqrt(0.5)])
 
 
 def test_scale_recognition():
@@ -176,16 +165,6 @@ def test_ladder_validation():
         box_dimension([(0.5, 0), (0.25, 4), (0.0625, 16)], 1)
 
 
-def test_json_records_roundtrip_fields():
-    ladder = [(2.0 ** -k, 2 ** k) for k in range(3, 7)]
-    est = box_dimension(ladder, ambient_dim=1)
-    records = est.to_json_records()
-    assert len(records) == 4
-    assert set(records[0]) == {"epsilon", "count", "slope", "ci"}
-    assert records[0]["epsilon"] == pytest.approx(0.125)
-    assert records[0]["count"] == 8
-
-
 # ------------------------------------------------------------- grid cover
 
 def test_grid_cover_epsilon_and_count():
@@ -213,6 +192,11 @@ def test_disk_measure_within_ci():
     measure, half = lebesgue_estimate(region, budget=200_000, seed=11)
     assert abs(measure - np.pi * 0.01) < half
     assert half < 2e-4
+
+
+def empty_region(d):
+    return Region(contains=lambda p: np.zeros(len(p), dtype=bool),
+                  bounding_box=np.array([[0.0, 1.0]] * d), volume=0.0, label="empty")
 
 
 def test_empty_region_gets_rule_of_three_width():

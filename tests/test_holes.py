@@ -15,7 +15,6 @@ from repeller_lab.holes import (
     MapWithHoles,
     as_word,
     check_word,
-    phi_profile,
     propagate,
     pullback_witnesses,
     refine_cylinder,
@@ -227,8 +226,7 @@ def test_geometrically_empty_word_returns_marker():
         assert dead.empty
         assert dead.vol_lo == 0.0 and dead.vol_hi == 0.0
         assert len(dead.boxes) == 0 and len(dead.witnesses) == 0
-    prof = phi_profile(toy, (0, 1))
-    assert prof.empty
+        assert len(pullback_witnesses(toy, word, targets=64)) == 0
 
 
 class TouchingQuadrupling(GappedQuadrupling):
@@ -263,8 +261,6 @@ def test_adjacency_violating_word_returns_marker():
     geo = refine_cylinder(markov, (0, 1), 3.0 ** -4)
     assert geo.empty
     assert len(pullback_witnesses(markov, (0, 1))) == 0
-    prof = phi_profile(markov, (0, 1))
-    assert prof.empty and len(prof) == 0
 
 
 def test_inconsistent_margin_oracle_is_caught():
@@ -296,42 +292,51 @@ def test_witnesses_for_diaz_viana():
     assert np.all(fam.itinerary(wits, 3) == np.array([0, 1, 0]))
 
 
-# ---------------------------------------------------------------- profiles
+# ------------------------------------------------------ expansion profiles
+
+def _stretch_profile(model, word, seed):
+    """Per-step least log-stretch along verified witnesses of ``word``, as
+    a (len(word), N) array, and log sigma_min of each derivative product."""
+    pos = pullback_witnesses(model, word, targets=24, seed=seed)
+    assert len(pos) > 0
+    prod = np.broadcast_to(np.eye(model.d), (len(pos), model.d, model.d)).copy()
+    rows = []
+    for _ in word:
+        rows.append(model.log_least_stretch(pos))
+        prod = model.jacobian_matrices(pos) @ prod
+        pos = model.step(pos)
+    least = np.linalg.svd(prod, compute_uv=False)[:, -1]
+    return np.array(rows), np.log(least)
+
 
 def test_profile_constant_for_tripling():
-    prof = phi_profile(TriplingToy(), (0, 1, 0, 0))
-    assert np.allclose(prof.values, np.log(3.0), atol=1e-12)
-    assert np.allclose(prof.lower, np.log(3.0), atol=1e-12)
-    assert prof.product_ok and not prof.empty
+    stretch, total = _stretch_profile(TriplingToy(), (0, 1, 0, 0), seed=0)
+    assert np.allclose(stretch, np.log(3.0), atol=1e-12)
+    assert np.allclose(total, 4 * np.log(3.0), atol=1e-9)
 
 
 def test_profile_constant_for_conformal_toy():
-    prof = phi_profile(LinearToy2D(), (4, 9, 0))
-    assert np.allclose(prof.values, 0.5 * np.log(10.0), atol=1e-12)
-    assert prof.product_ok
+    stretch, total = _stretch_profile(LinearToy2D(), (4, 9, 0), seed=0)
+    assert np.allclose(stretch, 0.5 * np.log(10.0), atol=1e-12)
+    assert np.allclose(total, 1.5 * np.log(10.0), atol=1e-9)
 
 
-def test_profile_running_mean_identity():
-    prof = phi_profile(HopfModel2D(0.1), (0, 3, 7), seed=5)
-    for j in range(len(prof)):
-        assert prof.values[j] == pytest.approx(np.mean(prof.step_infima[:j + 1]))
-        assert prof.lower[j] == pytest.approx(np.mean(prof.step_floors[:j + 1]))
-    assert all(v >= l - 1e-12 for v, l in zip(prof.values, prof.lower))
+def test_witness_stretch_at_or_above_branch_floors():
+    # the certified per-branch floors bound every witness's per-step
+    # stretch from below, and least singular values are submultiplicative
+    model = HopfModel2D(0.1)
+    word = (0, 3, 7)
+    stretch, total = _stretch_profile(model, word, seed=5)
+    floors = np.array([model.lambda_min(s) for s in word])
+    assert np.all(stretch >= floors[:, None] - 1e-12)
+    assert np.all(total >= stretch.sum(axis=0) - 1e-9)
 
 
 def test_profile_near_neutral_circle_is_small_but_positive():
     # a word looping through the branch holding the neutral circle expands,
     # but far below the conformal rate - and the certified floor there is 0
     model = HopfModel2D(0.05)
-    prof = phi_profile(model, (0,) * 5, seed=0)
-    assert prof.n_witnesses > 0
-    assert 0.0 < prof.values[-1] < 0.5 * np.log(10.0)
-    assert prof.lower == tuple([0.0] * 5)
-    assert prof.product_ok
-
-
-def test_profile_accepts_explicit_witnesses():
-    toy = TriplingToy()
-    prof = phi_profile(toy, (0, 0), witnesses=np.array([[0.02], [0.1]]))
-    assert prof.n_witnesses == 2
-    assert prof.values[-1] == pytest.approx(np.log(3.0))
+    stretch, total = _stretch_profile(model, (0,) * 5, seed=0)
+    assert 0.0 < stretch.min(axis=1).mean() < 0.5 * np.log(10.0)
+    assert model.lambda_min(0) == 0.0
+    assert np.all(total >= stretch.sum(axis=0) - 1e-9)

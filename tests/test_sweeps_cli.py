@@ -221,6 +221,17 @@ def test_dim_negative_mu_flagged_no_hole(tmp_path):
     assert abs(float(cells[3]) - 2.0) < 0.03  # full torus survives
 
 
+def test_dim_rejected_mu_is_an_error_row(tmp_path):
+    # the family builds at the probe mu = 0.05, so only the bad row fails
+    cfg = _dim_cfg(tmp_path, mu_values=(0.1, 1.5))
+    assert cmd_dim(cfg, cache=False) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "out" / "dim.csv").read_text().splitlines()
+            if not ln.startswith("#")][1:]
+    assert [r[0] for r in rows] == ["0.1", "1.5"]
+    assert "error:" not in rows[0][9]
+    assert rows[1][9].startswith("error:profile condition 'floor_at_zero'")
+
+
 def test_dim_rows_sorted_and_hash_consistent(tmp_path):
     cfg = _dim_cfg(tmp_path, mu_values=(0.1, 0.05))
     assert cmd_dim(cfg, cache=False, jobs=2) == 0
@@ -293,7 +304,7 @@ def test_dim_tripling_matches_cantor_slope(tmp_path):
 # -------------------------------------------------------------- cmd_bounds
 
 _SMALL_BOUNDS = {"cp_n_max": 8, "st_l_max": 60, "en_l_max": 60,
-                 "lemma_l_max": 200}
+                 "lemma_l_max": 200, "lemma_mu_values": 0.1}
 
 
 def test_bounds_small_grid_passes(tmp_path, capsys):
@@ -302,6 +313,11 @@ def test_bounds_small_grid_passes(tmp_path, capsys):
     assert "BOUNDS: PASS" in capsys.readouterr().out
     summary = json.loads((tmp_path / "b" / "bounds.json").read_text())
     assert summary["passed"] and not summary["failed"]
+    # every sub-suite checks at least one cell
+    checks = {line.split(",")[0] for line in
+              (tmp_path / "b" / "bounds.csv").read_text().splitlines()}
+    assert {"count_patterns", "stirling", "prefactor", "entropy",
+            "lemma-cell"} <= checks
     # the sharpness probe fails by design without failing the suite
     assert len(summary["expected_failures"]) == 1
     assert summary["expected_failures"][0]["check"] == "entropy-probe"
@@ -396,6 +412,27 @@ def test_induced_report_passes(tmp_path):
     assert report["return_time_histogram"]["1"] == 9
 
 
+def test_induced_counts_max_words_at_depth_n0(tmp_path):
+    # max_words bounds the words reaching depth n0, not every word made:
+    # 72 crossing words and one slow loop fit under a cap of 20
+    cfg = {"family": "hopf2d", "mu": 0.1, "n0": 8, "samples": 4000,
+           "max_words": 20, "seed": 2, "out": str(tmp_path / "i")}
+    assert cmd_induced(cfg) == 0
+    report = json.loads((tmp_path / "i" / "induced.json").read_text())
+    assert report["domain_pieces"] == 9 * 8 and report["passed"]
+
+
+def test_cli_induced_capped_partition_exits_two(tmp_path, capsys):
+    # a threshold above every branch floor sends all 10^4 words to depth 4
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text("family = hopf2d\nmu = 0.1\nthreshold = 2.0\nn0 = 4\n"
+                   "max_words = 50\nsamples = 1000\n")
+    out = tmp_path / "out"
+    assert main(["induced", "--config", str(cfg), "--seed", "1", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: max_words = 50 ")
+    assert not out.exists()
+
+
 def test_induced_degenerate_threshold_exit_zero(tmp_path):
     cfg = {"family": "tripling", "threshold": 5.0, "n0": 3, "samples": 1000,
            "seed": 1, "out": str(tmp_path / "i")}
@@ -432,11 +469,18 @@ def test_cli_config_errors_exit_two(tmp_path, capsys):
 
 
 # (command, config text, key the error must name first); every value here
-# once died with a traceback and exit 1, and lemma_mu_values = 2 with a PASS
+# once died with a traceback and exit 1, or exited 0 without checking
+# anything: lemma_mu_values = 2 and the empty bound grids with a PASS,
+# hopf3d with slope = -1 with an error row for every mu
 _BAD_VALUES = [
     ("bounds", "cp_n_max = abc", "cp_n_max"),
     ("bounds", "lemma_mu_values = 1", "lemma_mu_values"),
     ("bounds", "lemma_mu_values = 2", "lemma_mu_values"),
+    ("bounds", "cp_n_max = 3", "cp_n_max"),
+    ("bounds", "st_l_max = 2", "st_l_max"),
+    ("bounds", "en_l_max = 0", "en_l_max"),
+    ("bounds", "lemma_l_max = 200", "lemma_l_max"),             # no cell at mu = 0.01
+    ("bounds", "lemma_l_max = 92\nlemma_mu_values = 0.1", "lemma_l_max"),
     ("a2", "samples = many", "samples"),
     ("a2", "n_values = 0", "n_values"),
     ("induced", "mu = x", "mu"),
@@ -445,6 +489,7 @@ _BAD_VALUES = [
     ("induced", "family = linear2d", "threshold"),
     ("dim", "grid_n = big", "grid_n"),
     ("dim", "mu_values = a,b", "mu_values"),
+    ("dim", "family = hopf3d\nslope = -1", "hopf3d"),            # rejected at every mu
 ]
 
 
