@@ -40,20 +40,23 @@ def _resolve_threshold(system: MapWithHoles, threshold):
 
 # --------------------------------------------------------------- word walk
 
-def _walk(system: MapWithHoles, n: int, cut, max_words: int):
+def _walk(system: MapWithHoles, n: int, cut, max_words: int, *, file_cut: bool):
     """Depth-first walk of the floor-based prefix tree down to depth n.
 
     A prefix of length j whose floor sum ``total`` makes ``cut(j, total)``
-    true is cut: it is filed under ``cut_words[j - 1]`` and not extended.
-    Uncut prefixes reaching depth n are the leaves; the rest are expanded
-    along ``allowed_after``.  The walk stops (capped) once more than
-    ``max_words`` leaves exist.  Returns ``(cut_words, leaves, expanded,
-    capped)`` with every word a ``CylinderWord``.
+    true is cut and not extended; with ``file_cut`` it is also filed under
+    ``cut_words[j - 1]``, else only counted, as there are far more cut
+    words than leaves.  Uncut prefixes reaching depth n are the leaves;
+    the rest are expanded along ``allowed_after``.  The walk stops
+    (capped) once more than ``max_words`` leaves exist.  Returns
+    ``(cut_words, pruned, leaves, expanded, capped)`` with every word a
+    ``CylinderWord`` and ``cut_words`` None unless filed.
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
     floors = [system.lambda_min(s) for s in range(system.n_branches)]
-    cut_words, leaves, expanded, capped = [[] for _ in range(n)], [], 0, False
+    cut_words = [[] for _ in range(n)] if file_cut else None
+    pruned, leaves, expanded, capped = 0, [], 0, False
     # entries are (parent, last letter, floor sum); a word is built only
     # when popped, so each is copied into its CylinderWord at once
     stack = [((), s, floors[s]) for s in range(system.n_branches)][::-1]
@@ -62,7 +65,9 @@ def _walk(system: MapWithHoles, n: int, cut, max_words: int):
         word = parent + (last,)
         j = len(word)
         if cut(j, total):
-            cut_words[j - 1].append(CylinderWord(word))
+            pruned += 1
+            if file_cut:
+                cut_words[j - 1].append(CylinderWord(word))
         elif j == n:
             leaves.append(CylinderWord(word))
             if len(leaves) > max_words:
@@ -72,7 +77,7 @@ def _walk(system: MapWithHoles, n: int, cut, max_words: int):
             expanded += 1
             for s in system.allowed_after(last):
                 stack.append((word, s, total + floors[s]))
-    return cut_words, leaves, expanded, capped
+    return cut_words, pruned, leaves, expanded, capped
 
 
 # ------------------------------------------------------------- word census
@@ -114,9 +119,9 @@ def enumerate_slow_words(system: MapWithHoles, n: int, threshold=None, *,
     threshold = _resolve_threshold(system, threshold)
     best_rest = min(system.lambda_min(s) for s in range(system.n_branches))
     budget = n * threshold
-    cut, kept, expanded, capped = _walk(
-        system, n, lambda j, total: total + (n - j) * best_rest > budget, max_words)
-    pruned = sum(map(len, cut))
+    _, pruned, kept, expanded, capped = _walk(
+        system, n, lambda j, total: total + (n - j) * best_rest > budget, max_words,
+        file_cut=False)
     return WordCensus(n=n, threshold=threshold, kept=tuple(kept), pruned=pruned,
                       expanded=expanded, visited=pruned + len(kept) + expanded,
                       capped=capped)
@@ -186,8 +191,8 @@ def sn_partition(system: MapWithHoles, n: int, threshold=None, *,
                  max_words: int = 100_000) -> CrossingPartition:
     """Partition itineraries by first certified crossing of the threshold."""
     threshold = _resolve_threshold(system, threshold)
-    cut, remainder, _, capped = _walk(
-        system, n, lambda j, total: total > j * threshold, max_words)
+    cut, _, remainder, _, capped = _walk(
+        system, n, lambda j, total: total > j * threshold, max_words, file_cut=True)
     return CrossingPartition(n=n, threshold=threshold, groups=tuple(map(tuple, cut)),
                              remainder=tuple(remainder), capped=capped)
 

@@ -117,7 +117,12 @@ class _TenBranchTorus(MapWithHoles):
         """The ten candidate linear preimages, centered, shape (N, 10, 2)."""
         y = centered(points)
         cand = (y[:, None, :] + _COSETS[None, :, :]) @ _A2_INV.T
-        return (cand + 0.5) % 1.0 - 0.5
+        return centered(cand)
+
+
+def _radius2(p) -> np.ndarray:
+    """Squared length of the first two components of each row, p0^2 + p1^2."""
+    return p[:, 0] * p[:, 0] + p[:, 1] * p[:, 1]
 
 
 def _select_matching_preimage(system, symbol, candidates):
@@ -200,7 +205,7 @@ class HopfModel2D(_TenBranchTorus):
         if self.mu > 0:
             rho = self.rho_inv
             self.hole = Region(
-                contains=lambda p: np.sum(centered(p) ** 2, axis=1) < rho * rho,
+                contains=lambda p: _radius2(centered(p)) < rho * rho,
                 bounding_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
                 volume=self.mu_f, label="attracting-basin-disk")
         else:
@@ -211,14 +216,13 @@ class HopfModel2D(_TenBranchTorus):
 
     def _w(self, points):
         p = centered(np.atleast_2d(points))
-        return p, np.sum(p * p, axis=1)
+        return p, _radius2(p)
 
     def step(self, points):
         p, w = self._w(points)
-        scale = np.ones(len(p))
         inside = w < self.delta0
-        scale[inside] = self.profile.value(w[inside]) / self.sigma
-        return wrap((p * scale[:, None]) @ _A2.T)
+        p[inside] *= (self.profile.value(w[inside]) / self.sigma)[:, None]
+        return wrap(p @ _A2.T)
 
     def deriv_inverse_norm(self, points):
         _, w = self._w(points)
@@ -273,7 +277,7 @@ class HopfModel2D(_TenBranchTorus):
         cand = self._linear_preimages(np.atleast_2d(points))
         n, k, _ = cand.shape
         flat = cand.reshape(n * k, 2)
-        dist = np.sqrt(np.sum(flat * flat, axis=1))
+        dist = np.sqrt(_radius2(flat))
         need = dist < np.sqrt(self.delta0)
         if need.any():
             flat[need] = self._radial_preimage(flat[need], dist[need])
@@ -381,20 +385,15 @@ class HopfModel3D:
     def _coords(self, points):
         p = centered(np.atleast_2d(points))
         c = p @ self.P_inv.T
-        w = c[:, 0] ** 2 + c[:, 1] ** 2
-        return c, w, c[:, 2]
+        return c, _radius2(c), c[:, 2]
 
     def step(self, points):
         c, w, z = self._coords(points)
         inside = (w < self.delta0) & (np.abs(z) < self.delta0)
-        scale = np.ones(len(c))
         if inside.any():
             val, _, _ = profile_3d(self.profile, w[inside], z[inside])
-            scale[inside] = val / self.sigma
-        h = c.copy()
-        h[:, 0] *= scale
-        h[:, 1] *= scale
-        return wrap(h @ self.PM.T)
+            c[inside, :2] *= (val / self.sigma)[:, None]
+        return wrap(c @ self.PM.T)
 
     def jacobian_matrices(self, points):
         c, w, z = self._coords(points)
@@ -438,8 +437,7 @@ class TrapRegion:
 
 def disk_trap(radius: float) -> TrapRegion:
     def contains(points):
-        p = centered(np.atleast_2d(points))
-        return np.sum(p * p, axis=1) <= radius * radius
+        return _radius2(centered(np.atleast_2d(points))) <= radius * radius
 
     def boundary_sample(count, seed=0):
         theta = np.linspace(0, 2 * np.pi, count, endpoint=False)

@@ -1,9 +1,12 @@
 """Grids, box counting, and Monte Carlo measure estimation on the unit torus.
 
-Points live in [0,1)^d and are represented as numpy arrays (one row per
-point).  The canonical representative of a torus point is its coordinate
-vector wrapped into [0,1); ``centered`` gives the representative in
-[-1/2, 1/2) used by maps that are defined relative to the origin.
+Points live on the unit torus and are represented as numpy arrays (one
+row per point).  The canonical representative of a torus point is its
+coordinate vector wrapped into [0,1], with 1.0 only where a tiny negative
+coordinate rounds up (see ``wrap``); ``centered`` gives the representative
+in [-1/2, 1/2) used by maps that are defined relative to the origin.  Both
+reduce with ``x - floor(x)``, which rounds the same exact value once as
+``x % 1.0`` does and so equals it bit for bit, at a fraction of the cost.
 
 All estimators are deterministic given an explicit seed.  Box counting is
 grid aligned (boxes of side base**-k anchored at 0), dimension estimates
@@ -18,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 # Boundary snap: points within one part in 1e9 of a box edge are assigned
 # to the box on the right.  Without this, exact-arithmetic sets (triadic
@@ -28,13 +30,28 @@ SNAP = 1e-9
 
 
 def wrap(points: np.ndarray) -> np.ndarray:
-    """Canonical torus representative in [0,1)^d."""
-    return np.asarray(points, dtype=float) % 1.0
+    """Canonical torus representative in [0,1]^d.
+
+    The exact value x - floor(x) lies in [0, 1), but its rounding is 1.0
+    for the tiny negatives in [-2**-54, 0): 1 - 1e-17 rounds to 1, so
+    wrap(-1e-17) is 1.0.  ``box_indices`` clips such a point into the
+    last box.
+    """
+    x = np.asarray(points, dtype=float)
+    out = np.floor(x)
+    return np.subtract(x, out, out=out)
 
 
 def centered(points: np.ndarray) -> np.ndarray:
-    """Torus representative in [-1/2, 1/2)^d (displacement from the origin)."""
-    return (np.asarray(points, dtype=float) + 0.5) % 1.0 - 0.5
+    """Torus representative in [-1/2, 1/2)^d (displacement from the origin).
+
+    Unlike ``wrap`` it cannot round up: x + 1/2 is never a negative float
+    closer to 0 than 2**-53, and only those give a fraction of 1.0.
+    """
+    y = np.asarray(points, dtype=float) + 0.5
+    y -= np.floor(y)
+    y -= 0.5
+    return y
 
 
 @dataclass(frozen=True)
@@ -128,13 +145,18 @@ def box_dimension(pairs: Sequence[tuple], ambient_dim: int) -> DimensionEstimate
         warnings.append("flat-slope")
         slope_raw, resid, ci = 0.0, 0.0, 0.0
     else:
+        # scipy's linregress formulas, and the t quantile its t.ppf calls,
+        # imported here so that only a fit pays for the scipy import
+        from scipy.special import stdtrit
         x = np.array([-np.log(e) for e, _ in pts])
         y = np.array([np.log(c) for _, c in pts])
-        fit = stats.linregress(x, y)
-        slope_raw = float(fit.slope)
-        resid = float(np.sqrt(np.mean((y - (fit.intercept + fit.slope * x)) ** 2)))
-        tcrit = float(stats.t.ppf(0.975, len(pts) - 2))
-        ci = tcrit * float(fit.stderr)
+        df = len(pts) - 2
+        ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+        slope_raw = float(ssxym / ssxm)
+        intercept = np.mean(y) - slope_raw * np.mean(x)
+        resid = float(np.sqrt(np.mean((y - (intercept + slope_raw * x)) ** 2)))
+        ci = float(stdtrit(df, 0.975)) * float(np.sqrt((1 - r ** 2) * ssym / ssxm / df))
     slope = min(max(slope_raw, 0.0), float(ambient_dim))
     if slope != slope_raw:
         warnings.append("clamped")
@@ -148,16 +170,19 @@ def counts_from_survivors(points: np.ndarray, base: int, k_values: Sequence[int]
 
     Boxes at level k are unions of boxes at any finer level of the same
     base, so computing indices once at the finest level and integer-
-    dividing down gives exactly the counts a per-level pass would.
+    dividing down gives exactly the counts a per-level pass would.  The
+    distinct boxes of a level are counted by sorting its index rows and
+    counting the rows that differ from their predecessor.
     """
     ks = sorted(set(int(k) for k in k_values))
     k_max = ks[-1]
     idx = box_indices(points, k_max, base)
     out = []
     for k in ks:
-        shift = base ** (k_max - k)
-        coarse = idx // shift
-        out.append((base ** -k, len(np.unique(coarse, axis=0))))
+        coarse = idx // base ** (k_max - k)
+        rows = coarse[np.lexsort(coarse.T)]
+        steps = np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1))
+        out.append((base ** -k, min(len(rows), 1) + int(steps)))
     return out
 
 

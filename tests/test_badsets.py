@@ -1,5 +1,7 @@
 """Tests for slow-set enumeration, measurement, and envelope comparison."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,30 @@ def test_hopf_census_keeps_only_the_slow_branch_loop():
     assert [w.symbols for w in census.kept] == [(0,) * 10]
     assert census.pruned == 90  # nine fast symbols at each of ten depths
     assert census.visited == len(census.kept) + census.pruned + census.expanded
+
+
+def test_census_counts_match_prefix_enumeration():
+    # every prefix of length j <= n is visited unless a shorter prefix was
+    # cut; a visited prefix is cut, kept (j = n) or expanded
+    model, n, threshold = HopfModel2D(0.1), 5, 0.5
+    floors = [model.lambda_min(s) for s in range(10)]
+    best = min(floors)
+    cut = lambda word: sum(floors[s] for s in word) + (n - len(word)) * best > n * threshold
+    pruned = kept = expanded = 0
+    for j in range(1, n + 1):
+        for word in itertools.product(range(10), repeat=j):
+            if any(cut(word[:i]) for i in range(1, j)):
+                continue
+            if cut(word):
+                pruned += 1
+            elif j == n:
+                kept += 1
+            else:
+                expanded += 1
+    census = enumerate_slow_words(model, n, threshold)
+    assert (census.pruned, len(census.kept), census.expanded) == (pruned, kept, expanded)
+    assert census.visited == pruned + kept + expanded
+    assert len(census.kept) == 1 + 9 * n + 81 * n * (n - 1) // 2  # at most two fast letters
 
 
 def test_census_cap_marks_inconclusive():

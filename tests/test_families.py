@@ -17,6 +17,7 @@ from repeller_lab.families import (
     survivor_grid,
     verify_trap,
 )
+from repeller_lab.profiles import profile_3d
 
 A2 = np.array([[3.0, -1.0], [1.0, 3.0]])
 A3 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -10.0, 0.0]])
@@ -155,6 +156,81 @@ def test_cell_margin_matches_brute_force_bitwise():
                 want = np.minimum(want, np.sqrt(w) - hopf.rho_inv)
             got = hopf.cell_margin(symbol, pts)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, symbol)
+
+
+def _radius_inputs():
+    """Planar points: grid centres, random points, cell edges +-1 ulp,
+    signed zeros, tiny negatives and coordinates up to 1e6."""
+    rng = np.random.default_rng(31)
+    g = (np.arange(256) + 0.5) / 256
+    centres = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    edges = _box_edge_points(rng, 5_000)
+    odd = np.array([[0.0, -0.0], [-0.0, -0.0], [-1e-17, 0.5], [-5e-324, -1e-300],
+                    [0.5, -0.5], [1e6, -1e6]])
+    pts = np.concatenate([centres, edges, odd, rng.random((20_000, 2)),
+                          rng.uniform(-1e6, 1e6, (5_000, 2)),
+                          0.1 * rng.standard_normal((5_000, 2))])
+    return np.concatenate([pts, np.nextafter(pts, 2.0), np.nextafter(pts, -1.0)])
+
+
+def test_squared_radius_matches_sum_form_bitwise():
+    pts = _radius_inputs()
+    p = centered(pts)
+    want = np.sum(p * p, axis=1)
+    model = HopfModel2D(0.05)
+    assert np.array_equal(model._w(pts)[1].view(np.int64), want.view(np.int64))
+    rho2 = model.rho_inv ** 2
+    theta = np.arange(4000.0)
+    on_rim = wrap(model.rho_inv * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    rim = np.concatenate([on_rim, np.nextafter(on_rim, 2.0), np.nextafter(on_rim, -1.0)])
+    for q in (pts, rim):
+        c = centered(q)
+        assert np.array_equal(model.hole.contains(q), np.sum(c ** 2, axis=1) < rho2)
+        assert np.array_equal(disk_trap(model.rho_inv).contains(q),
+                              np.sum(c * c, axis=1) <= rho2)
+    spatial = HopfModel3D(0.05)
+    pts3 = np.concatenate([pts, pts[::-1, :1]], axis=1)
+    c = centered(pts3) @ spatial.P_inv.T
+    got = spatial._coords(pts3)[1]
+    assert np.array_equal(got.view(np.int64), (c[:, 0] ** 2 + c[:, 1] ** 2).view(np.int64))
+
+
+def test_planar_step_matches_modulo_and_sum_forms_bitwise():
+    # the step written with the kernels' reference forms: % 1.0 for the
+    # torus reductions and np.sum for the squared radius
+    def reference_step(model, points):
+        p = (points + 0.5) % 1.0 - 0.5
+        w = np.sum(p * p, axis=1)
+        scale = np.ones(len(p))
+        inside = w < model.delta0
+        scale[inside] = model.profile.value(w[inside]) / model.sigma
+        return ((p * scale[:, None]) @ A2.T) % 1.0
+
+    pts = _radius_inputs()
+    for mu in (0.01, 0.1):
+        model = HopfModel2D(mu)
+        near = wrap(0.2 * np.random.default_rng(5).standard_normal((20_000, 2)))
+        for q in (pts, near):
+            got, want = model.step(q), reference_step(model, q)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_spatial_step_matches_modulo_form_bitwise():
+    def reference_step(model, points):
+        c = ((points + 0.5) % 1.0 - 0.5) @ model.P_inv.T
+        w, z = c[:, 0] ** 2 + c[:, 1] ** 2, c[:, 2]
+        inside = (w < model.delta0) & (np.abs(z) < model.delta0)
+        scale = np.ones(len(c))
+        scale[inside] = profile_3d(model.profile, w[inside], z[inside])[0] / model.sigma
+        return (c * np.stack([scale, scale, np.ones(len(c))], axis=1) @ model.PM.T) % 1.0
+
+    rng = np.random.default_rng(37)
+    flat = _radius_inputs()
+    pts = np.concatenate([np.concatenate([flat, flat[::-1, :1]], axis=1),
+                          wrap(0.1 * rng.standard_normal((30_000, 3)))])
+    model = HopfModel3D(0.1)
+    got, want = model.step(pts), reference_step(model, pts)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_every_point_lies_in_the_cell_of_its_symbol():

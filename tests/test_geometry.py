@@ -7,6 +7,7 @@ interval subdivision so the closed form never has to be trusted.
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repeller_lab.geometry import (
     SNAP,
@@ -57,6 +58,46 @@ def test_wrap_and_centered():
     p = np.array([[1.25, -0.25], [0.5, 0.999]])
     assert np.allclose(wrap(p), [[0.25, 0.75], [0.5, 0.999]])
     assert np.allclose(centered(p), [[0.25, -0.25], [-0.5, -0.001]])
+
+
+def torus_kernel_inputs():
+    """Values where a floor-based reduction could differ from ``% 1.0``:
+    grid centres, random points, box edges of bases 2 and 3 and their
+    +-1 ulp neighbours, signed zeros, tiny negatives, half-integers, and
+    magnitudes up to 1e6."""
+    rng = np.random.default_rng(23)
+    centres = (np.arange(1024) + 0.5) / 1024
+    edges = np.concatenate([np.arange(-64, 65) / 2.0 ** 5, np.arange(-81, 82) / 3.0 ** 4])
+    halves = np.arange(-1000, 1001) + 0.5
+    tiny = np.array([0.0, -0.0, -1e-17, -1e-300, -5e-324, 5e-324, 1e-17,
+                     -2.0 ** -54, -0.5 - 2.0 ** -53, 1.0 - 2.0 ** -53])
+    big = np.concatenate([rng.uniform(-1e6, 1e6, 20_000), np.arange(-10, 11) * 1e5])
+    base = np.concatenate([centres, edges, halves, tiny, big, rng.random(20_000),
+                           rng.uniform(-3, 3, 20_000)])
+    return np.concatenate([base, np.nextafter(base, np.inf), np.nextafter(base, -np.inf)])
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_wrap_and_centered_equal_modulo_forms_bitwise():
+    x = torus_kernel_inputs()
+    for pts in (x, x.reshape(-1, 2), x.reshape(-1, 3)):
+        assert same_bits(wrap(pts), pts % 1.0)
+        assert same_bits(centered(pts), (pts + 0.5) % 1.0 - 0.5)
+
+
+def test_wrap_can_return_one_and_box_indices_clip_it():
+    # 1 - 1e-17 rounds to 1: the floor and modulo forms agree on it
+    tiny = np.array([-1e-17])
+    assert wrap(tiny)[0] == 1.0 and (tiny % 1.0)[0] == 1.0
+    # x + 1/2 is never a negative float closer to 0 than 2**-53, so
+    # centered cannot round up the same way
+    assert centered(torus_kernel_inputs()).max() < 0.5
+    for base in (2, 3):
+        for k in (1, 4):
+            assert box_indices(np.array([[-1e-17, 0.25]]), k, base)[0, 0] == base ** k - 1
 
 
 def test_scale_recognition():
@@ -112,7 +153,62 @@ def test_box_count_monotone_under_refinement():
     assert all(b >= a for a, b in zip(counts, counts[1:]))
 
 
+def unique_rows_ladder(points, base, k_values):
+    """Reference box counter: one np.unique over the index rows per level."""
+    k_max = max(k_values)
+    idx = box_indices(points, k_max, base)
+    return [(base ** -k, len(np.unique(idx // base ** (k_max - k), axis=0)))
+            for k in sorted(set(k_values))]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("base", [2, 3])
+def test_box_counter_matches_unique_rows(d, base):
+    rng = np.random.default_rng(100 * d + base)
+    k_values = range(1, 7 if base == 2 else 5)
+    n = base ** max(k_values)
+    on_edges = rng.integers(0, n, size=(3000, d)) / n
+    clustered = 0.3 + 0.01 * rng.random((3000, d))
+    point_sets = [rng.random((5000, d)), on_edges, np.nextafter(on_edges, 2.0),
+                  np.nextafter(on_edges, -1.0), clustered, rng.random((1, d)),
+                  np.empty((0, d)), np.repeat(on_edges[:5], 40, axis=0)]
+    for pts in point_sets:
+        assert counts_from_survivors(pts, base, k_values) == unique_rows_ladder(pts, base, k_values)
+
+
 # ------------------------------------------------------ dimension fitting
+
+def linregress_estimate(pairs):
+    """Reference fit: scipy.stats.linregress and the t quantile from
+    stats.t.ppf, on a ladder already sorted by decreasing eps."""
+    x = np.array([-np.log(e) for e, _ in pairs])
+    y = np.array([np.log(c) for _, c in pairs])
+    fit = stats.linregress(x, y)
+    resid = float(np.sqrt(np.mean((y - (fit.intercept + fit.slope * x)) ** 2)))
+    ci = float(stats.t.ppf(0.975, len(pairs) - 2)) * float(fit.stderr)
+    return float(fit.slope), resid, ci
+
+
+def test_fit_matches_linregress_bitwise():
+    rng = np.random.default_rng(29)
+    for trial in range(300):
+        base = (2, 3)[trial % 2]
+        m = int(rng.integers(3, 13))
+        ks = np.sort(rng.choice(np.arange(16), size=m, replace=False))
+        if base ** int(ks[-1] - ks[0]) < 8:
+            ks[-1] = ks[0] + 3
+        growth = rng.choice([0.3, 1.0, 2.0, 3.5])  # 3.5 exceeds the ambient 3
+        raw = np.round(base ** (growth * ks) * rng.uniform(0.5, 2.0, m))
+        counts = np.maximum.accumulate(np.clip(raw, 1, 1e15)).astype(np.int64)
+        if len(set(counts)) == 1:
+            counts[-1] += 1
+        ladder = [(float(base) ** -int(k), int(c)) for k, c in zip(ks, counts)]
+        est = box_dimension(ladder, ambient_dim=3)
+        slope_raw, resid, ci = linregress_estimate(est.pairs)
+        got = np.array([est.slope_raw, est.residual, est.ci, est.slope])
+        want = np.array([slope_raw, resid, ci, min(max(slope_raw, 0.0), 3.0)])
+        assert same_bits(got, want), (trial, ladder)
+
 
 def test_interval_slope_is_one():
     ladder = [(2.0 ** -k, 2 ** k) for k in range(3, 11)]

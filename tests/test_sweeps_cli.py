@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repeller_lab
 from repeller_lab.cli import main
 from repeller_lab.config import (KNOWN_FAMILIES, ConfigError, SweepConfig,
                                  config_hash, parse_config, read)
@@ -585,3 +590,41 @@ def test_sweep_all_runs_everything(tmp_path):
     names = {p.name for p in (tmp_path / "all").iterdir()}
     assert {"dim.csv", "dim.svg", "bounds.csv", "bounds.json", "a2.csv",
             "induced.json"} <= names
+
+
+def test_scipy_stays_off_the_import_path(tmp_path):
+    # only the dimension fit imports scipy, and then only scipy.special;
+    # a fresh interpreter is the one place sys.modules starts clean
+    script = textwrap.dedent("""
+        import sys
+        import repeller_lab, repeller_lab.cli
+
+        def scipy_loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        assert not scipy_loaded(), scipy_loaded()
+        out = sys.argv[1]
+        for argv in (["bounds", "--config", out + "/bounds.cfg"],
+                     ["a2", "--config", out + "/a2.cfg"],
+                     ["induced", "--config", out + "/induced.cfg"]):
+            assert repeller_lab.cli.main(argv + ["--out", out]) == 0, argv
+            assert not scipy_loaded(), (argv, scipy_loaded())
+        assert repeller_lab.cli.main(["dim", "--config", out + "/dim.cfg",
+                                      "--out", out, "--cache", "off"]) == 0
+        assert "scipy.special" in sys.modules and "scipy.stats" not in sys.modules
+        """)
+    configs = {
+        "bounds": "".join(f"{k} = {v}\n" for k, v in _SMALL_BOUNDS.items()),
+        "a2": "family = hopf2d\nmu_values = 0.1\nn_values = 4\nsamples = 5000\nseed = 1\n",
+        "induced": "family = hopf2d\nmu = 0.1\nn0 = 8\nsamples = 4000\nseed = 2\n",
+        "dim": "family = hopf2d\nmu_values = 0.1\ngrid_n = 32\nhorizon = 5\n"
+               "k_min = 2\nk_max = 5\nseed = 0\n",
+    }
+    for name, text in configs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    src = str(Path(repeller_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
