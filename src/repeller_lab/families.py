@@ -30,6 +30,7 @@ from .holes import MapWithHoles, first_entry
 from .profiles import PhiProfile, build_phi, circle_radius, profile_3d
 
 SQRT10 = float(np.sqrt(10.0))
+HALF_LOG10 = 0.5 * float(np.log(10.0))  # log SQRT10, the conformal branch floor
 
 
 # =====================================================================
@@ -155,7 +156,7 @@ class LinearToy2D(_TenBranchTorus):
         return np.broadcast_to(_A2, (len(np.atleast_2d(points)), 2, 2)).copy()
 
     def lambda_min(self, symbol):
-        return 0.5 * np.log(10.0)
+        return HALF_LOG10
 
     def lip_bound(self, points, rad):
         return np.full(len(np.atleast_2d(points)), SQRT10)
@@ -256,7 +257,7 @@ class HopfModel2D(_TenBranchTorus):
             # infimum of log Phi over the cell minus the hole: attained on
             # the neutral circle (mu > 0) or at the origin (mu <= 0)
             return 0.0 if self.mu > 0 else float(np.log(1 - self.mu))
-        return 0.5 * float(np.log(10.0))
+        return HALF_LOG10
 
     def lip_bound(self, points, rad):
         p, w = self._w(points)

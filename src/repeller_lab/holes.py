@@ -303,32 +303,67 @@ def _candidate_centers(system: MapWithHoles, symbol: int, base: int, k: int):
     return idx, centers
 
 
+def pullback_witness_batch(system: MapWithHoles, words, *, targets: int = 12,
+                           seeds) -> list:
+    """Verified interior points of many cylinders via inverse-branch pullback.
+
+    Word i is seeded with ``sample_cell(word[-1], targets, seeds[i])``
+    minus the hole.  All words are then pulled back together, right to
+    left: at each step the live rows are grouped by the symbol they need,
+    one ``inverse_branch`` call per symbol, and rows that lose their
+    preimage or land in the hole are dropped.  One itinerary run to the
+    longest word length then keeps the rows whose prefix reproduces their
+    own word.  Every row's arithmetic is elementwise, so each word gets
+    the same points, bit for bit, as if it were pulled back alone.
+    Returns one (N_i, d) array per word, in input order; a word that
+    violates the adjacency gets none.
+    """
+    words = [as_word(w) for w in words]
+    batches, owners = [np.empty((0, system.d))], [np.empty(0, dtype=np.int64)]
+    for i, (word, seed) in enumerate(zip(words, seeds)):
+        if not check_word(system, word):
+            continue
+        pts = system.sample_cell(word[-1], targets, seed)
+        batches.append(pts[~system.in_hole(pts)] if len(pts) else pts)
+        owners.append(np.full(len(batches[-1]), i, dtype=np.int64))
+    pts, owner = np.concatenate(batches), np.concatenate(owners)
+
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    longest = int(lengths.max(initial=0))
+    table = np.zeros((len(words), longest), dtype=np.int64)
+    for i, word in enumerate(words):
+        table[i, :len(word)] = word.symbols
+
+    for step in range(longest - 1):
+        at = lengths[owner] - 2 - step  # word position this step pulls back through
+        live = np.flatnonzero(at >= 0)
+        if len(live) == 0:
+            break
+        need = table[owner[live], at[live]]
+        for symbol in np.flatnonzero(np.bincount(need)):  # np.unique imports numpy.ma: +1 MB RSS
+            rows = live[need == symbol]
+            pts[rows] = system.inverse_branch(int(symbol), pts[rows])
+        keep = np.ones(len(pts), dtype=bool)
+        keep[live] = ~np.isnan(pts[live]).any(axis=1)
+        landed = live[keep[live]]
+        if len(landed):
+            keep[landed] = ~system.in_hole(pts[landed])
+        pts, owner = pts[keep], owner[keep]
+
+    if len(pts):
+        itin = system.itinerary(pts, longest)
+        cols = np.arange(longest)
+        match = (itin == table[owner]) | (cols >= lengths[owner][:, None])
+        good = match.all(axis=1)
+        pts, owner = pts[good], owner[good]
+    cuts = np.searchsorted(owner, np.arange(len(words) + 1))
+    return [pts[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+
+
 def pullback_witnesses(system: MapWithHoles, word, *, targets: int = 12,
                        seed: int = 0) -> np.ndarray:
-    """Verified interior points of a cylinder via inverse-branch pullback.
-
-    Seeds the pullback with samples of the final branch domain, applies
-    the inverse branches right to left (dropping orbits that lose their
-    preimage or land in the hole), and keeps only points whose forward
-    itinerary reproduces the word exactly.
-    """
-    word = as_word(word)
-    if not check_word(system, word):
-        return np.empty((0, system.d))
-    pts = system.sample_cell(word[-1], targets, seed)
-    pts = pts[~system.in_hole(pts)] if len(pts) else pts
-    for symbol in word.symbols[-2::-1]:
-        if len(pts) == 0:
-            break
-        pts = system.inverse_branch(symbol, pts)
-        pts = pts[~np.isnan(pts).any(axis=1)]
-        if len(pts):
-            pts = pts[~system.in_hole(pts)]
-    if len(pts) == 0:
-        return np.empty((0, system.d))
-    itin = system.itinerary(pts, len(word))
-    good = np.all(itin == np.array(word.symbols), axis=1)
-    return pts[good]
+    """Verified interior points of one cylinder; see ``pullback_witness_batch``."""
+    return pullback_witness_batch(system, [word], targets=targets, seeds=[seed])[0]
 
 
 def refine_cylinder(system: MapWithHoles, word, resolution: float,

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .badsets import CrossingPartition, sn_partition, _resolve_threshold
 from .bounds import delta_bound
-from .holes import MapWithHoles, propagate, pullback_witnesses
+from .holes import MapWithHoles, propagate, pullback_witness_batch
+from .holes import pullback_witnesses  # noqa: F401  (perfbench/spans.py patches it here by name)
 
 
 @dataclass(frozen=True)
@@ -49,9 +51,14 @@ class InducedExpander:
     def return_times(self) -> tuple:
         return tuple(len(w) for w in self.words)
 
+    @cached_property
+    def floors(self) -> tuple:
+        """Certified per-branch expansion floors ``lambda_min``, by symbol."""
+        return tuple(self.system.lambda_min(s) for s in range(self.system.n_branches))
+
     def floor_margin(self, word) -> float:
         """Certified log-expansion surplus of a domain piece."""
-        total = sum(self.system.lambda_min(s) for s in word)
+        total = sum(map(self.floors.__getitem__, word))
         return total - self.threshold * len(word)
 
     def apply(self, points: np.ndarray, on_step=None):
@@ -64,7 +71,7 @@ class InducedExpander:
         one more step and their positions.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        floors = np.array([self.system.lambda_min(s) for s in range(self.system.n_branches)])
+        floors = np.array(self.floors)
         acc = np.zeros(len(pts))
         tau = np.zeros(len(pts), dtype=np.int64)
         ok = np.zeros(len(pts), dtype=bool)
@@ -137,15 +144,13 @@ def verify_expansion(expander: InducedExpander, *, samples: int = 10_000,
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pts = rng.random((samples, system.d))
 
-    words_checked = 0
-    batches = [pts]
-    for k, group in enumerate(expander.partition.groups[:witness_depth_limit]):
-        for word in group:
-            wits = pullback_witnesses(system, word, targets=2, seed=seed + k)
-            if len(wits):
-                batches.append(wits)
-                words_checked += 1
-    pts = np.concatenate(batches, axis=0)
+    groups = expander.partition.groups[:witness_depth_limit]
+    found = pullback_witness_batch(
+        system, [w for g in groups for w in g], targets=2,
+        seeds=[seed + k for k, g in enumerate(groups) for _ in g])
+    found = [wits for wits in found if len(wits)]
+    words_checked = len(found)
+    pts = np.concatenate([pts, *found], axis=0)
 
     prod = np.broadcast_to(np.eye(system.d), (len(pts), system.d, system.d)).copy()
 

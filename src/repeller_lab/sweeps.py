@@ -115,6 +115,10 @@ def cache_put(cdir: Path | None, key: str, payload):
 
 # ------------------------------------------------------------- dim sweeps
 
+# Part of every dim cache key: raise it whenever a dim row's computation
+# changes, so a shared REPELLER_LAB_CACHE never serves rows of older code.
+DIM_CACHE_VERSION = 2
+
 _DIM_COLUMNS = ("mu", "mu_f", "rho_inv", "dimension", "ci", "slope_raw",
                 "residual", "survivors", "badset_ref", "flags", "config_hash")
 
@@ -175,7 +179,7 @@ def cmd_dim(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
     cdir = cache_dir(run.dir, cache)
 
     mus = sorted(sc.mu_values)
-    keys = [f"dim-{chash}-mu{_mu_tag(mu)}" for mu in mus]
+    keys = [f"dim-v{DIM_CACHE_VERSION}-{chash}-mu{_mu_tag(mu)}" for mu in mus]
     rows = [cache_get(cdir, key) for key in keys]
     for mu, key, row in zip(mus, keys, rows):
         if row is not None:

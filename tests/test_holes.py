@@ -16,9 +16,11 @@ from repeller_lab.holes import (
     as_word,
     check_word,
     propagate,
+    pullback_witness_batch,
     pullback_witnesses,
     refine_cylinder,
 )
+from repeller_lab.induced import InducedExpander, build_induced, verify_expansion
 
 
 class GappedQuadrupling(MapWithHoles):
@@ -290,6 +292,155 @@ def test_witnesses_for_diaz_viana():
     wits = pullback_witnesses(fam, (0, 1, 0), targets=16, seed=1)
     assert len(wits) > 0
     assert np.all(fam.itinerary(wits, 3) == np.array([0, 1, 0]))
+
+
+# ------------------------------------------------------- batched pullback
+
+def _pullback_reference(system, word, *, targets=12, seed=0):
+    """The per-word pullback loop that ``pullback_witness_batch`` replaced."""
+    word = as_word(word)
+    if not check_word(system, word):
+        return np.empty((0, system.d))
+    pts = system.sample_cell(word[-1], targets, seed)
+    pts = pts[~system.in_hole(pts)] if len(pts) else pts
+    for symbol in word.symbols[-2::-1]:
+        if len(pts) == 0:
+            break
+        pts = system.inverse_branch(symbol, pts)
+        pts = pts[~np.isnan(pts).any(axis=1)]
+        if len(pts):
+            pts = pts[~system.in_hole(pts)]
+    if len(pts) == 0:
+        return np.empty((0, system.d))
+    itin = system.itinerary(pts, len(word))
+    good = np.all(itin == np.array(word.symbols), axis=1)
+    return pts[good]
+
+
+def _verify_reference(expander, *, samples, seed, witness_depth_limit=12):
+    """``verify_expansion`` as it was on the per-word pullback loop."""
+    system = expander.system
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    batches, words_checked = [rng.random((samples, system.d))], 0
+    for k, group in enumerate(expander.partition.groups[:witness_depth_limit]):
+        for word in group:
+            wits = _pullback_reference(system, word, targets=2, seed=seed + k)
+            if len(wits):
+                batches.append(wits)
+                words_checked += 1
+    pts = np.concatenate(batches, axis=0)
+    prod = np.broadcast_to(np.eye(system.d), (len(pts), system.d, system.d)).copy()
+
+    def multiply(rows, pos):
+        prod[rows] = system.jacobian_matrices(pos) @ prod[rows]
+
+    _, tau, ok = expander.apply(pts, on_step=multiply)
+    ret = np.flatnonzero(ok)
+    ret = ret[np.argsort(tau[ret], kind="stable")]
+    margins = (np.log(np.linalg.svd(prod[ret], compute_uv=False)[:, -1])
+               - expander.threshold * tau[ret])
+    w = int(np.argmin(margins))
+    return len(ret), words_checked, float(margins[w]), pts[ret[w]]
+
+
+class LeakyQuadrupling(GappedQuadrupling):
+    """Variant whose inverse branches never give NaN: each returns the plain
+    quadrupling preimage, which for a mixed word lies in the hole, so only
+    the pullback's own hole filter stops those rows."""
+
+    def inverse_branch(self, symbol, points):
+        y = np.atleast_2d(points)[:, 0]
+        return ((y + (0.0, 2.0)[symbol]) / 4.0)[:, None]
+
+
+def _counting_inverse(system):
+    """Make ``system.inverse_branch`` add its row count to the returned list."""
+    fed, inner = [0], system.inverse_branch
+
+    def counted(symbol, points):
+        fed[0] += len(points)
+        return inner(symbol, points)
+
+    system.inverse_branch = counted
+    return fed
+
+
+def _mixed_words(n, rng):
+    """Words of lengths 1..7 with seeds in {0, 1}: random ones, pairs that
+    share their (last symbol, seed) start, ones using the transition 1 -> 0
+    that the test forbids, and the mixed words that the quadrupling toys
+    leave without witnesses."""
+    words, seeds = [], []
+    for length in range(1, 8):
+        for _ in range(3):
+            words.append(tuple(int(s) for s in rng.integers(0, n, length)))
+            seeds.append(int(rng.integers(0, 2)))
+    for word in list(words[3::4]):
+        words.append(tuple(int(s) for s in rng.integers(0, n, 2)) + word[-1:])
+        seeds.append(seeds[words.index(word)])
+    words += [(1, 0), (0, 1, 0, n - 1), (n - 1, 1, 0), (0, 1), (0, 0, 1, 1), (0, 1, 1)]
+    seeds += [0, 1, 0, 1, 0, 1]
+    return words, seeds
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HopfModel2D(0.02), lambda: HopfModel2D(0.1), LinearToy2D, TriplingToy,
+    lambda: DiazVianaFamily(0.25), GappedQuadrupling, LeakyQuadrupling,
+], ids=["hopf2d-0.02", "hopf2d-0.1", "linear2d", "tripling", "diaz-viana",
+        "gapped", "leaky"])
+def test_batched_pullback_matches_per_word_loop_bitwise(make):
+    system = make()
+    n = system.n_branches
+    system.adjacency = {a: tuple(b for b in range(n) if (a, b) != (1, 0)) for a in range(n)}
+    words, seeds = _mixed_words(n, np.random.default_rng(n))
+    assert any(not check_word(system, as_word(w)) for w in words)
+    fed = _counting_inverse(system)
+
+    want = [_pullback_reference(system, w, targets=3, seed=s) for w, s in zip(words, seeds)]
+    fed_by_loop, fed[0] = fed[0], 0
+    got = pullback_witness_batch(system, words, targets=3, seeds=seeds)
+    assert len(got) == len(words)
+    for word, a, b in zip(words, want, got):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), word
+    # the batch pulls back exactly the rows the per-word loop does
+    assert fed[0] == fed_by_loop
+    assert any(len(a) == 0 for a in want) and any(len(a) for a in want)
+    if make in (GappedQuadrupling, LeakyQuadrupling):
+        assert any(len(a) == 0 and check_word(system, as_word(w))
+                   for w, a in zip(words, want))
+
+
+def test_single_word_pullback_is_the_batch_of_one():
+    model = HopfModel2D(0.1)
+    one = pullback_witnesses(model, (0, 3, 7), targets=16, seed=3)
+    batch = pullback_witness_batch(model, [(5, 0, 3, 7), (0, 3, 7)],
+                                   targets=16, seeds=[3, 3])
+    assert one.tobytes() == batch[1].tobytes()
+    assert pullback_witness_batch(model, [], seeds=[]) == []
+
+
+@pytest.mark.parametrize("make, n, threshold", [
+    (lambda: HopfModel2D(0.1), 532, None), (lambda: HopfModel2D(0.02), 40, None),
+    (LinearToy2D, 6, 0.5), (lambda: DiazVianaFamily(0.25), 6, None),
+], ids=["hopf2d-0.1", "hopf2d-0.02", "linear2d", "diaz-viana"])
+def test_verify_expansion_matches_per_word_reference(make, n, threshold, monkeypatch):
+    expander = build_induced(make(), n, threshold)
+    fed, apply = [], InducedExpander.apply
+
+    def recording(self, points, on_step=None):
+        fed.append(np.array(points))
+        return apply(self, points, on_step)
+
+    monkeypatch.setattr(InducedExpander, "apply", recording)
+    got = verify_expansion(expander, samples=3000, seed=4)
+    checked, words_checked, min_margin, worst = _verify_reference(
+        expander, samples=3000, seed=4)
+    # the same samples and witnesses, in the same order, reach the check
+    assert fed[0].tobytes() == fed[1].tobytes()
+    assert got.checked == checked
+    assert got.words_checked == words_checked > 0
+    assert got.min_margin == min_margin
+    assert got.worst_point.tobytes() == worst.tobytes()
 
 
 # ------------------------------------------------------ expansion profiles

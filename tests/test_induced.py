@@ -203,3 +203,32 @@ def test_expander_is_frozen():
     ind = build_induced(TriplingToy(), 1, 0.5)
     with pytest.raises(AttributeError):
         ind.threshold = 1.0
+
+
+def test_witness_pullback_batches_inverse_branch_calls():
+    # verify_expansion pulls all witness words back together: at most one
+    # inverse_branch call per (pullback step, symbol needed at that step),
+    # where a loop over the 108 words made 594 calls
+    model = HopfModel2D(0.1)
+    ind = build_induced(model, 532)
+    words = [w.symbols for g in ind.partition.groups[:12] for w in g]
+    assert len(words) == 108
+    pairs = {(j, w[-2 - j]) for w in words for j in range(len(w) - 1)}
+    calls, inner = [], model.inverse_branch
+    model.inverse_branch = lambda symbol, points: calls.append(symbol) or inner(symbol, points)
+    chk = verify_expansion(ind, samples=10_000, seed=0)
+    assert chk.words_checked == 108
+    assert 0 < len(calls) <= len(pairs) < 594
+
+
+def test_floor_margin_reads_one_floor_table():
+    # the per-branch floors are read once per expander and summed in word
+    # order, so every margin equals the per-symbol sum bit for bit
+    model = HopfModel2D(0.1)
+    ind = build_induced(model, 40)
+    calls, inner = [], model.lambda_min
+    model.lambda_min = lambda symbol: calls.append(symbol) or inner(symbol)
+    got = [ind.floor_margin(w) for w in ind.words]
+    assert len(calls) == model.n_branches
+    want = [sum(inner(s) for s in w) - ind.threshold * len(w) for w in ind.words]
+    assert got == want

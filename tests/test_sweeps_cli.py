@@ -16,9 +16,9 @@ from repeller_lab.config import (KNOWN_FAMILIES, ConfigError, SweepConfig,
                                  config_hash, parse_config, read)
 from repeller_lab.families import HopfModel2D
 from repeller_lab.svgplot import SvgPlot
-from repeller_lab.sweeps import (cache_dir, cache_get, cache_put, cmd_a2,
-                                 cmd_bounds, cmd_dim, cmd_induced,
-                                 make_family, sweep_all)
+from repeller_lab.sweeps import (DIM_CACHE_VERSION, cache_dir, cache_get,
+                                 cache_put, cmd_a2, cmd_bounds, cmd_dim,
+                                 cmd_induced, make_family, sweep_all)
 
 
 # ------------------------------------------------------------------ config
@@ -277,6 +277,29 @@ def test_dim_cache_hit_and_corruption_recovery(tmp_path):
     assert _data_files(tmp_path / "out") == first
     log = (tmp_path / "out" / "dim.log").read_text()
     assert "computed" in log
+
+
+def test_dim_cache_ignores_unversioned_keys(tmp_path, monkeypatch):
+    # a shared cache may hold valid rows that older code filed under
+    # "dim-<hash>-mu<mu>"; the versioned key never reads them
+    shared = tmp_path / "shared"
+    monkeypatch.setenv("REPELLER_LAB_CACHE", str(shared))
+    cfg = _dim_cfg(tmp_path)
+    assert cmd_dim(cfg, cache=True) == 0
+    first = _data_files(tmp_path / "out")
+    (fresh,) = shared.glob("dim-*.json")
+    assert fresh.name.startswith(f"dim-v{DIM_CACHE_VERSION}-")
+    stale = json.loads(fresh.read_text())["payload"]
+    stale["dimension"] = 0.123
+    old_key = fresh.stem.replace(f"dim-v{DIM_CACHE_VERSION}-", "dim-")
+    fresh.unlink()
+    cache_put(shared, old_key, stale)
+    assert cache_get(shared, old_key) == stale
+
+    assert cmd_dim(cfg, cache=True) == 0
+    log = (tmp_path / "out" / "dim.log").read_text()
+    assert "computed" in log and "cache hit" not in log
+    assert _data_files(tmp_path / "out") == first
 
 
 def test_cache_env_override(tmp_path, monkeypatch):
