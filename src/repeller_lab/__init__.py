@@ -19,8 +19,8 @@ from .families import (DiazVianaFamily, HopfModel2D, HopfModel3D, LinearToy2D,
                        jacobian_bounds_check, survivor_grid, verify_trap)
 from .geometry import (DimensionEstimate, Region, box_dimension, box_indices,
                        counts_from_survivors, lebesgue_estimate, wrap)
-from .holes import (CylinderGeometry, CylinderWord, MapWithHoles, check_word,
-                    pullback_witnesses, refine_cylinder)
+from .holes import (CylinderGeometry, MapWithHoles, check_word, pullback_witnesses,
+                    refine_cylinder)
 from .induced import (ExpansionCheck, InducedExpander, InducedHole,
                       build_induced, induced_hole_volume, verify_expansion)
 from .profiles import (CONDITION_NAMES, PhiProfile, ProfileError, build_phi,
@@ -43,7 +43,7 @@ __all__ = [
     "verify_trap",
     "DimensionEstimate", "Region", "box_dimension", "box_indices",
     "counts_from_survivors", "lebesgue_estimate", "wrap",
-    "CylinderGeometry", "CylinderWord", "MapWithHoles", "check_word",
+    "CylinderGeometry", "MapWithHoles", "check_word",
     "pullback_witnesses", "refine_cylinder",
     "ExpansionCheck", "InducedExpander", "InducedHole", "build_induced",
     "induced_hole_volume", "verify_expansion",

@@ -19,12 +19,13 @@ cut rules on one depth-first walk of the floor-based prefix tree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bounds import delta_bound, depth_threshold
-from .holes import CylinderWord, MapWithHoles, propagate, refine_cylinder
+from .holes import MapWithHoles, propagate, refine_cylinder
 from .geometry import SNAP
 
 
@@ -40,36 +41,39 @@ def _resolve_threshold(system: MapWithHoles, threshold):
 
 # --------------------------------------------------------------- word walk
 
-def _walk(system: MapWithHoles, n: int, cut, max_words: int, *, file_cut: bool):
+def _walk(system: MapWithHoles, n: int, excess, max_words: int, *, file_cut: bool):
     """Depth-first walk of the floor-based prefix tree down to depth n.
 
-    A prefix of length j whose floor sum ``total`` makes ``cut(j, total)``
-    true is cut and not extended; with ``file_cut`` it is also filed under
-    ``cut_words[j - 1]``, else only counted, as there are far more cut
-    words than leaves.  Uncut prefixes reaching depth n are the leaves;
-    the rest are expanded along ``allowed_after``.  The walk stops
-    (capped) once more than ``max_words`` leaves exist.  Returns
-    ``(cut_words, pruned, leaves, expanded, capped)`` with every word a
-    ``CylinderWord`` and ``cut_words`` None unless filed.
+    A prefix of length j whose floor sum ``total`` has a positive
+    ``excess(j, total)`` is cut and not extended; with ``file_cut`` it is
+    also filed under ``cut_words[j - 1]``, else only counted, as there
+    are far more cut words than leaves.  Uncut prefixes reaching depth n
+    are the leaves; the rest are expanded along ``allowed_after``.  The
+    walk stops (capped) once more than ``max_words`` leaves exist.
+    Returns ``(cut_words, least, pruned, leaves, expanded, capped)`` with
+    every word a tuple of ints, ``cut_words`` None unless filed, and
+    ``least`` the smallest excess of a filed word (None if none is filed).
     """
     if n < 1:
         raise ValueError("depth must be at least 1")
     floors = [system.lambda_min(s) for s in range(system.n_branches)]
     cut_words = [[] for _ in range(n)] if file_cut else None
-    pruned, leaves, expanded, capped = 0, [], 0, False
+    least, pruned, leaves, expanded, capped = math.inf, 0, [], 0, False
     # entries are (parent, last letter, floor sum); a word is built only
-    # when popped, so each is copied into its CylinderWord at once
+    # when popped, and the floor sum runs left to right along it
     stack = [((), s, floors[s]) for s in range(system.n_branches)][::-1]
     while stack:
         parent, last, total = stack.pop()
         word = parent + (last,)
         j = len(word)
-        if cut(j, total):
+        surplus = excess(j, total)
+        if surplus > 0:
             pruned += 1
             if file_cut:
-                cut_words[j - 1].append(CylinderWord(word))
+                cut_words[j - 1].append(word)
+                least = min(least, surplus)
         elif j == n:
-            leaves.append(CylinderWord(word))
+            leaves.append(word)
             if len(leaves) > max_words:
                 capped = True
                 break
@@ -77,7 +81,8 @@ def _walk(system: MapWithHoles, n: int, cut, max_words: int, *, file_cut: bool):
             expanded += 1
             for s in system.allowed_after(last):
                 stack.append((word, s, total + floors[s]))
-    return cut_words, pruned, leaves, expanded, capped
+    least = least if least < math.inf else None
+    return cut_words, least, pruned, leaves, expanded, capped
 
 
 # ------------------------------------------------------------- word census
@@ -119,8 +124,8 @@ def enumerate_slow_words(system: MapWithHoles, n: int, threshold=None, *,
     threshold = _resolve_threshold(system, threshold)
     best_rest = min(system.lambda_min(s) for s in range(system.n_branches))
     budget = n * threshold
-    _, pruned, kept, expanded, capped = _walk(
-        system, n, lambda j, total: total + (n - j) * best_rest > budget, max_words,
+    _, _, pruned, kept, expanded, capped = _walk(
+        system, n, lambda j, total: total + (n - j) * best_rest - budget, max_words,
         file_cut=False)
     return WordCensus(n=n, threshold=threshold, kept=tuple(kept), pruned=pruned,
                       expanded=expanded, visited=pruned + len(kept) + expanded,
@@ -176,14 +181,16 @@ class CrossingPartition:
     first exceeds the threshold at their last letter; ``remainder`` holds
     the depth-n words that never cross (the candidates for the slow set).
     Cylinders across all groups and the remainder are pairwise disjoint.
-    A ``capped`` partition (more than ``max_words`` words in the
-    remainder) is partial.
+    ``min_margin`` is the smallest floor sum minus threshold times length
+    over the grouped words, None when no word crosses.  A ``capped``
+    partition (more than ``max_words`` words in the remainder) is partial.
     """
 
     n: int
     threshold: float
     groups: tuple
     remainder: tuple
+    min_margin: float | None
     capped: bool
 
 
@@ -191,10 +198,10 @@ def sn_partition(system: MapWithHoles, n: int, threshold=None, *,
                  max_words: int = 100_000) -> CrossingPartition:
     """Partition itineraries by first certified crossing of the threshold."""
     threshold = _resolve_threshold(system, threshold)
-    cut, _, remainder, _, capped = _walk(
-        system, n, lambda j, total: total > j * threshold, max_words, file_cut=True)
+    cut, least, _, remainder, _, capped = _walk(
+        system, n, lambda j, total: total - j * threshold, max_words, file_cut=True)
     return CrossingPartition(n=n, threshold=threshold, groups=tuple(map(tuple, cut)),
-                             remainder=tuple(remainder), capped=capped)
+                             remainder=tuple(remainder), min_margin=least, capped=capped)
 
 
 # ------------------------------------------------------------- depth sweep

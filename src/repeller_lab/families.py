@@ -64,7 +64,6 @@ class _TenBranchTorus(MapWithHoles):
 
     d = 2
     n_branches = 10
-    eta = 10
 
     def _linear_symbols(self, points) -> np.ndarray:
         y = centered(points) @ _A2.T
@@ -520,7 +519,6 @@ class TriplingToy(MapWithHoles):
     n_branches = 2
     mu_f = 1.0 / 3.0
     S = 1.0 / 3.0
-    eta = 2
     delta_mu = 1.0 / 3.0
     label = "tripling-with-hole"
 
@@ -591,7 +589,6 @@ class DiazVianaFamily(MapWithHoles):
 
     d = 1
     n_branches = 2
-    eta = 2
     label = "diaz-viana-1d"
 
     def __init__(self, t: float, c0: float = 0.25):

@@ -21,6 +21,7 @@ are realized two-sidedly:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,7 +86,6 @@ class MapWithHoles:
     n_branches : number of inverse branches (m + 1 in the usual indexing).
     mu_f : total hole volume (0 when there is no hole).
     S : supremum of the derivative-inverse norm over the domain.
-    eta : bound on the number of branch domains any branch image meets.
     adjacency : dict symbol -> allowed successor symbols, or None for a
         full shift.
     hole : Region for the hole, or None.
@@ -99,15 +99,10 @@ class MapWithHoles:
     n_branches: int
     mu_f: float
     S: float
-    eta: int
     adjacency: dict | None = None
     hole: Region | None = None
     delta_mu: float = 0.0
     label: str = "map-with-holes"
-
-    @property
-    def m(self) -> int:
-        return self.n_branches - 1
 
     @property
     def domain_bbox(self) -> np.ndarray:
@@ -205,42 +200,18 @@ class MapWithHoles:
 
 # ---------------------------------------------------------------- words
 
-@dataclass(frozen=True)
-class CylinderWord:
-    """A branch itinerary (a_1, ..., a_n)."""
+def check_word(system: MapWithHoles, word) -> bool:
+    """True when a word's transitions respect the adjacency.
 
-    symbols: tuple
-
-    def __post_init__(self):
-        syms = tuple(int(s) for s in self.symbols)
-        if not syms:
-            raise ValueError("cylinder word must be nonempty")
-        if any(s < 0 for s in syms):
-            raise ValueError("cylinder word symbols must be nonnegative")
-        object.__setattr__(self, "symbols", syms)
-
-    def __len__(self):
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __getitem__(self, i):
-        return self.symbols[i]
-
-
-def as_word(word) -> CylinderWord:
-    if isinstance(word, CylinderWord):
-        return word
-    return CylinderWord(tuple(word))
-
-
-def check_word(system: MapWithHoles, word: CylinderWord) -> bool:
-    """True when symbols are in range and transitions respect adjacency."""
-    if any(s >= system.n_branches for s in word):
-        raise ValueError(f"symbol out of range for {system.n_branches} branches")
-    return all(b in system.allowed_after(a)
-               for a, b in zip(word.symbols, word.symbols[1:]))
+    A word is a sequence of branch symbols (a_1, ..., a_n); the package
+    keeps words as tuples of ints.  Raises ValueError for an empty word or
+    a symbol outside 0..n_branches-1.
+    """
+    if len(word) == 0:
+        raise ValueError("word must be nonempty")
+    if min(word) < 0 or max(word) >= system.n_branches:
+        raise ValueError(f"word symbol out of range for {system.n_branches} branches")
+    return all(b in system.allowed_after(a) for a, b in zip(word, word[1:]))
 
 
 # ------------------------------------------------------------- geometry
@@ -256,7 +227,7 @@ class CylinderGeometry:
     points.  ``empty`` marks a cylinder with neither cover nor witnesses.
     """
 
-    word: CylinderWord
+    word: tuple
     base: int
     k: int
     boxes: np.ndarray
@@ -280,7 +251,7 @@ class CylinderGeometry:
         return np.array([tuple(row) in have for row in idx])
 
 
-def _empty_geometry(word: CylinderWord, base: int, k: int, d: int) -> CylinderGeometry:
+def _empty_geometry(word: tuple, base: int, k: int, d: int) -> CylinderGeometry:
     return CylinderGeometry(word=word, base=base, k=k,
                             boxes=np.empty((0, d), dtype=np.int64),
                             certified=np.empty(0, dtype=bool),
@@ -318,7 +289,7 @@ def pullback_witness_batch(system: MapWithHoles, words, *, targets: int = 12,
     Returns one (N_i, d) array per word, in input order; a word that
     violates the adjacency gets none.
     """
-    words = [as_word(w) for w in words]
+    words = [tuple(map(operator.index, w)) for w in words]
     batches, owners = [np.empty((0, system.d))], [np.empty(0, dtype=np.int64)]
     for i, (word, seed) in enumerate(zip(words, seeds)):
         if not check_word(system, word):
@@ -332,7 +303,7 @@ def pullback_witness_batch(system: MapWithHoles, words, *, targets: int = 12,
     longest = int(lengths.max(initial=0))
     table = np.zeros((len(words), longest), dtype=np.int64)
     for i, word in enumerate(words):
-        table[i, :len(word)] = word.symbols
+        table[i, :len(word)] = word
 
     for step in range(longest - 1):
         at = lengths[owner] - 2 - step  # word position this step pulls back through
@@ -380,9 +351,11 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
 
     A geometrically empty cylinder (adjacency-violating word, or cover and
     witness search both coming up empty) is returned as an explicit empty
-    marker, not an error.
+    marker, not an error.  The word is any sequence of integer symbols
+    (TypeError otherwise); ``check_word`` rejects it if empty or out of
+    range.
     """
-    word = as_word(word)
+    word = tuple(map(operator.index, word))
     base, k = scale_to_base(resolution)
     eps = base ** -k
     if not check_word(system, word):
@@ -399,7 +372,7 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
     inside = margins[keep] >= r0
     rad = np.full(len(pos), r0)
 
-    for symbol in word.symbols[1:]:
+    for symbol in word[1:]:
         if len(pos) == 0:
             break
         rad = rad * system.lip_bound(pos, rad)

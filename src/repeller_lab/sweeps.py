@@ -101,7 +101,7 @@ def cache_get(cdir: Path | None, key: str):
     try:
         blob = json.loads((cdir / f"{key}.json").read_text())
         return blob["payload"] if _checksum(blob["payload"]) == blob["checksum"] else None
-    except (ValueError, KeyError, OSError):
+    except (ValueError, KeyError, TypeError, OSError):  # TypeError: JSON that is not an object
         return None
 
 
@@ -386,7 +386,6 @@ def cmd_induced(cfg: dict) -> int:
     run.note(f"verified in {time.time() - t0:.2f}s")
 
     hist = Counter(expander.return_times)
-    margins = [expander.floor_margin(w) for w in expander.words]
     resolved = ic.stamped("family", "mu", "samples", n0=n0, out=str(run.dir))
     report = {
         "config": {k: str(v) for k, v in sorted(resolved.items())},
@@ -396,7 +395,7 @@ def cmd_induced(cfg: dict) -> int:
         "degenerate_domain": degenerate,
         "domain_pieces": len(expander.words),
         "return_time_histogram": {str(k): hist[k] for k in sorted(hist)},
-        "floor_margin_min": float(min(margins)) if margins else None,
+        "floor_margin_min": expander.partition.min_margin,
         "sampled": {"samples": check.samples, "checked": int(check.checked),
                     "words_checked": check.words_checked,
                     "min_margin": None if math.isnan(check.min_margin)

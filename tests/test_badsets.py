@@ -29,7 +29,6 @@ class FlatSystem(MapWithHoles):
     n_branches = 1
     mu_f = 0.3
     S = 1.0
-    eta = 1
     label = "flat-system"
 
     def __init__(self, delta_mu):
@@ -84,7 +83,7 @@ def test_diaz_viana_slow_set_is_empty_in_words():
 def test_hopf_census_keeps_only_the_slow_branch_loop():
     model = HopfModel2D(0.1)
     census = enumerate_slow_words(model, 10)
-    assert [w.symbols for w in census.kept] == [(0,) * 10]
+    assert list(census.kept) == [(0,) * 10]
     assert census.pruned == 90  # nine fast symbols at each of ten depths
     assert census.visited == len(census.kept) + census.pruned + census.expanded
 
@@ -111,6 +110,15 @@ def test_census_counts_match_prefix_enumeration():
     assert (census.pruned, len(census.kept), census.expanded) == (pruned, kept, expanded)
     assert census.visited == pruned + kept + expanded
     assert len(census.kept) == 1 + 9 * n + 81 * n * (n - 1) // 2  # at most two fast letters
+
+
+def test_walk_words_are_int_tuples():
+    model = HopfModel2D(0.1)
+    part = sn_partition(model, 4, 0.5)
+    kept = enumerate_slow_words(model, 4, 0.5).kept
+    assert kept and part.remainder and part.groups[0] and part.groups[-1]
+    words = list(kept) + list(part.remainder) + [w for g in part.groups for w in g]
+    assert all(type(w) is tuple and all(type(s) is int for s in w) for w in words)
 
 
 def test_census_cap_marks_inconclusive():
@@ -168,19 +176,19 @@ def test_partition_structure_for_hopf():
     model = HopfModel2D(0.1)
     part = sn_partition(model, 6)
     assert [len(g) for g in part.groups] == [9] * 6
-    assert [w.symbols for w in part.remainder] == [(0,) * 6]
+    assert list(part.remainder) == [(0,) * 6]
     for k, group in enumerate(part.groups):
         for w in group:
             assert len(w) == k + 1
-            assert w.symbols[:-1] == (0,) * k  # slow prefix
-            assert w.symbols[-1] != 0          # fast letter triggers crossing
+            assert w[:-1] == (0,) * k  # slow prefix
+            assert w[-1] != 0          # fast letter triggers crossing
 
 
 def test_partition_is_a_prefix_code_with_full_mass():
     model = HopfModel2D(0.1)
     part = sn_partition(model, 6)
-    words = [w.symbols for g in part.groups for w in g]
-    words += [w.symbols for w in part.remainder]
+    words = [w for g in part.groups for w in g]
+    words += part.remainder
     for a in words:
         for b in words:
             if a is not b:
@@ -222,9 +230,9 @@ def test_partition_matches_breadth_first_reference(system, threshold):
         part = sn_partition(system, n, threshold)
         groups, remainder = bfs_partition(system, n, part.threshold)
         assert not part.capped
-        assert [{w.symbols for w in g} for g in part.groups] == [set(g) for g in groups]
+        assert [set(g) for g in part.groups] == [set(g) for g in groups]
         assert [len(g) for g in part.groups] == [len(g) for g in groups]
-        assert {w.symbols for w in part.remainder} == set(remainder)
+        assert set(part.remainder) == set(remainder)
         assert len(part.remainder) == len(remainder)
 
 
@@ -240,7 +248,7 @@ def test_partition_cap_counts_words_reaching_depth_n():
 
 def test_partition_for_uniformly_fast_families():
     part = sn_partition(TriplingToy(), 4, 0.25 / 3.0)
-    assert [w.symbols for w in part.groups[0]] == [(0,), (1,)]
+    assert list(part.groups[0]) == [(0,), (1,)]
     assert all(len(g) == 0 for g in part.groups[1:])
     assert part.remainder == ()
 

@@ -11,9 +11,7 @@ from repeller_lab.families import (
     _interval_margin,
 )
 from repeller_lab.holes import (
-    CylinderWord,
     MapWithHoles,
-    as_word,
     check_word,
     propagate,
     pullback_witness_batch,
@@ -38,7 +36,6 @@ class GappedQuadrupling(MapWithHoles):
     n_branches = 2
     mu_f = 0.75
     S = 0.25
-    eta = 2
     delta_mu = 0.0
     label = "gapped-quadrupling"
     CELLS = ((0.0, 0.125), (0.55, 0.675))
@@ -100,8 +97,6 @@ class LyingMarginTripling(TriplingToy):
         return margin
 
 
-# ------------------------------------------------------------------ words
-
 # ------------------------------------------------------------ orbit engine
 
 class CountingShift:
@@ -149,25 +144,47 @@ def test_propagate_stops_once_no_orbit_is_active():
     assert model.stepped == []
 
 
+# ------------------------------------------------------------------ words
+
 def test_word_validation():
+    toy = TriplingToy()
+    for bad in [(), [], np.array([], dtype=np.int64), (0, -1), (-1,), (0, 2), (2,),
+                np.array([0, 5])]:
+        with pytest.raises(ValueError):
+            check_word(toy, bad)
     with pytest.raises(ValueError):
-        CylinderWord(())
+        refine_cylinder(toy, (0, -1), 1.0 / 27.0)
     with pytest.raises(ValueError):
-        CylinderWord((0, -1))
-    w = as_word([0, 1, 0])
-    assert len(w) == 3 and w[1] == 1 and list(w) == [0, 1, 0]
-    assert as_word(w) is w
+        pullback_witness_batch(toy, [(0, 1), (1, 2)], seeds=[0, 0])
+    # a float symbol is not truncated to a branch index
+    with pytest.raises(TypeError):
+        refine_cylinder(toy, (0.7, 1.9), 1.0 / 27.0)
+    with pytest.raises(TypeError):
+        pullback_witness_batch(toy, [(0, 1), (0.0, 1)], seeds=[0, 0])
 
 
 def test_check_word_range_and_adjacency():
     toy = TriplingToy()
-    with pytest.raises(ValueError):
-        check_word(toy, as_word((0, 5)))
-    assert check_word(toy, as_word((0, 1, 0, 1)))
+    assert check_word(toy, (0, 1, 0, 1))
+    assert check_word(toy, [0, 1, 0, 1])
+    assert check_word(toy, np.array([0, 1, 0, 1]))
     markov = MarkovTripling()
-    assert not check_word(markov, as_word((0, 1)))
-    assert check_word(markov, as_word((1, 0, 0)))
-    assert check_word(markov, as_word((1, 1)))
+    assert not check_word(markov, (0, 1))
+    assert check_word(markov, (1, 0, 0))
+    assert check_word(markov, (1, 1))
+
+
+def test_list_and_numpy_words_refine_like_the_tuple_word():
+    model = HopfModel2D(0.1)
+    want = refine_cylinder(model, (0, 3, 7), 2.0 ** -6, seed=2)
+    assert not want.empty and len(want.witnesses) > 0
+    for word in ([0, 3, 7], np.array([0, 3, 7]), tuple(np.arange(10)[[0, 3, 7]])):
+        got = refine_cylinder(model, word, 2.0 ** -6, seed=2)
+        assert got.word == (0, 3, 7) and all(type(s) is int for s in got.word)
+        assert got.boxes.tobytes() == want.boxes.tobytes()
+        assert got.certified.tobytes() == want.certified.tobytes()
+        assert got.witnesses.tobytes() == want.witnesses.tobytes()
+        assert (got.vol_lo, got.vol_hi) == (want.vol_lo, want.vol_hi)
 
 
 # ------------------------------------------------------------------ covers
@@ -298,12 +315,11 @@ def test_witnesses_for_diaz_viana():
 
 def _pullback_reference(system, word, *, targets=12, seed=0):
     """The per-word pullback loop that ``pullback_witness_batch`` replaced."""
-    word = as_word(word)
     if not check_word(system, word):
         return np.empty((0, system.d))
     pts = system.sample_cell(word[-1], targets, seed)
     pts = pts[~system.in_hole(pts)] if len(pts) else pts
-    for symbol in word.symbols[-2::-1]:
+    for symbol in word[-2::-1]:
         if len(pts) == 0:
             break
         pts = system.inverse_branch(symbol, pts)
@@ -313,7 +329,7 @@ def _pullback_reference(system, word, *, targets=12, seed=0):
     if len(pts) == 0:
         return np.empty((0, system.d))
     itin = system.itinerary(pts, len(word))
-    good = np.all(itin == np.array(word.symbols), axis=1)
+    good = np.all(itin == np.array(word), axis=1)
     return pts[good]
 
 
@@ -393,7 +409,7 @@ def test_batched_pullback_matches_per_word_loop_bitwise(make):
     n = system.n_branches
     system.adjacency = {a: tuple(b for b in range(n) if (a, b) != (1, 0)) for a in range(n)}
     words, seeds = _mixed_words(n, np.random.default_rng(n))
-    assert any(not check_word(system, as_word(w)) for w in words)
+    assert any(not check_word(system, w) for w in words)
     fed = _counting_inverse(system)
 
     want = [_pullback_reference(system, w, targets=3, seed=s) for w, s in zip(words, seeds)]
@@ -406,7 +422,7 @@ def test_batched_pullback_matches_per_word_loop_bitwise(make):
     assert fed[0] == fed_by_loop
     assert any(len(a) == 0 for a in want) and any(len(a) for a in want)
     if make in (GappedQuadrupling, LeakyQuadrupling):
-        assert any(len(a) == 0 and check_word(system, as_word(w))
+        assert any(len(a) == 0 and check_word(system, w)
                    for w, a in zip(words, want))
 
 

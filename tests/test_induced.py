@@ -17,7 +17,7 @@ def test_tripling_induced_is_the_original_map():
     trip = TriplingToy()
     ind = build_induced(trip, 1, 0.5)
     assert ind.return_times == (1, 1)
-    assert sorted(w.symbols for w in ind.words) == [(0,), (1,)]
+    assert sorted(ind.words) == [(0,), (1,)]
     assert len(ind.partition.remainder) == 0
 
     rng = np.random.default_rng(5)
@@ -57,7 +57,7 @@ def test_applied_return_times_match_crossing_words():
     # every returned point's itinerary prefix must be a crossing word
     hopf = HopfModel2D(0.1)
     ind = build_induced(hopf, 6)
-    words = {w.symbols for w in ind.words}
+    words = set(ind.words)
     rng = np.random.default_rng(11)
     pts = rng.random((500, 2))
     out, tau, ok = ind.apply(pts)
@@ -154,6 +154,22 @@ def test_deep_budget_floor_margin():
     assert chk.passed and chk.min_margin > 1.0
 
 
+@pytest.mark.parametrize("make, n, threshold", [
+    (lambda: HopfModel2D(0.1), 532, None), (lambda: HopfModel2D(0.05), 40, None),
+    (lambda: DiazVianaFamily(0.25), 6, None), (TriplingToy, 4, 0.5),
+], ids=["hopf2d-0.1", "hopf2d-0.05", "diaz-viana", "tripling"])
+def test_partition_min_margin_is_the_least_floor_margin(make, n, threshold):
+    # the walk sums floors left to right as floor_margin does, so the
+    # minimum it keeps while filing equals the re-summed one bit for bit
+    ind = build_induced(make(), n, threshold)
+    want = min(ind.floor_margin(w) for w in ind.words)
+    assert ind.partition.min_margin.hex() == want.hex()
+
+
+def test_partition_min_margin_is_none_for_an_empty_domain():
+    assert sn_partition(TriplingToy(), 4, 2.0).min_margin is None
+
+
 # ------------------------------------------------------------ induced hole
 
 def test_tripling_induced_hole_is_the_original_hole():
@@ -211,7 +227,7 @@ def test_witness_pullback_batches_inverse_branch_calls():
     # where a loop over the 108 words made 594 calls
     model = HopfModel2D(0.1)
     ind = build_induced(model, 532)
-    words = [w.symbols for g in ind.partition.groups[:12] for w in g]
+    words = [w for g in ind.partition.groups[:12] for w in g]
     assert len(words) == 108
     pairs = {(j, w[-2 - j]) for w in words for j in range(len(w) - 1)}
     calls, inner = [], model.inverse_branch

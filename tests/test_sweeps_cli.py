@@ -319,6 +319,14 @@ def test_cache_roundtrip_helpers(tmp_path):
     assert cache_dir(tmp_path, False) is None
 
 
+def test_cache_get_misses_on_json_that_is_not_an_object(tmp_path):
+    cdir = cache_dir(tmp_path, True)
+    cdir.mkdir(parents=True)
+    for text in ("[]", "null"):
+        (cdir / "k.json").write_text(text)
+        assert cache_get(cdir, "k") is None
+
+
 def test_dim_tripling_matches_cantor_slope(tmp_path):
     # horizon must stay below the grid exponent: every center hits the
     # midpoint 1/2 (inside the hole) after exactly grid-exponent steps
