@@ -8,15 +8,14 @@ neutral invariant circle born at an instability.
 
 from .badsets import (CrossingPartition, DepthRow, WordCensus, a2_report,
                       enumerate_slow_words, measure_slow_fractions, sn_partition)
-from .bounds import (BoundCheck, ChainCell, ChainReport, count_patterns,
-                     delta_bound, delta_peak, depth_threshold, entropy_bound,
-                     lemma_cell_bound, lt_constraints, prefactor_bound,
-                     stirling_binomial_bound, volume_chain_check)
+from .bounds import (BoundCheck, count_patterns, delta_bound, delta_peak,
+                     depth_threshold, entropy_bound, lemma_cell_bound,
+                     lt_constraints, prefactor_bound, stirling_binomial_bound)
 from .config import ConfigError, SweepConfig, config_hash, parse_config
 from .families import (DiazVianaFamily, HopfModel2D, HopfModel3D, LinearToy2D,
                        TrapRegion, TriplingToy, cylinder_trap, disk_trap,
-                       escape_time, invariant_circle_radius,
-                       jacobian_bounds_check, survivor_grid, verify_trap)
+                       escape_time, invariant_circle_radius, survivor_grid,
+                       verify_trap)
 from .geometry import (DimensionEstimate, Region, box_dimension, box_indices,
                        counts_from_survivors, lebesgue_estimate, wrap)
 from .holes import (CylinderGeometry, MapWithHoles, check_word, pullback_witnesses,
@@ -32,15 +31,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CrossingPartition", "DepthRow", "WordCensus", "a2_report",
     "enumerate_slow_words", "measure_slow_fractions", "sn_partition",
-    "BoundCheck", "ChainCell", "ChainReport", "count_patterns", "delta_bound",
-    "delta_peak", "depth_threshold", "entropy_bound", "lemma_cell_bound",
-    "lt_constraints", "prefactor_bound", "stirling_binomial_bound",
-    "volume_chain_check",
+    "BoundCheck", "count_patterns", "delta_bound", "delta_peak",
+    "depth_threshold", "entropy_bound", "lemma_cell_bound", "lt_constraints",
+    "prefactor_bound", "stirling_binomial_bound",
     "ConfigError", "SweepConfig", "config_hash", "parse_config",
     "DiazVianaFamily", "HopfModel2D", "HopfModel3D", "LinearToy2D",
     "TrapRegion", "TriplingToy", "cylinder_trap", "disk_trap", "escape_time",
-    "invariant_circle_radius", "jacobian_bounds_check", "survivor_grid",
-    "verify_trap",
+    "invariant_circle_radius", "survivor_grid", "verify_trap",
     "DimensionEstimate", "Region", "box_dimension", "box_indices",
     "counts_from_survivors", "lebesgue_estimate", "wrap",
     "CylinderGeometry", "MapWithHoles", "check_word",

@@ -24,8 +24,6 @@ import numpy as np
 
 __all__ = [
     "BoundCheck",
-    "ChainCell",
-    "ChainReport",
     "count_patterns",
     "delta_bound",
     "delta_peak",
@@ -35,7 +33,6 @@ __all__ = [
     "lt_constraints",
     "prefactor_bound",
     "stirling_binomial_bound",
-    "volume_chain_check",
 ]
 
 
@@ -178,98 +175,6 @@ def depth_threshold(mu_f: float, mu: float, n_max: int = 200_000) -> int | None:
         if delta_bound(n, mu) < mu_f:
             return n
     return None
-
-
-# ------------------------------------------------------------ chain check
-
-@dataclass(frozen=True)
-class ChainCell:
-    """Per-(l,t) inequality chain at depth n."""
-
-    l: int
-    t: int
-    lhs: float
-    mid: float
-    rhs: float
-    ok: bool
-
-
-@dataclass(frozen=True)
-class ChainReport:
-    """Volume-decay inequality chain over all admissible (l,t) cells.
-
-    For each admissible cell the chain
-
-      (13/32) mu l + (n-l) log 2 + (n-l) log(eta/sigma^2) - (61/32) mu l
-          <= -(1/2) mu l <= -(1/4) mu n
-
-    must hold; the number of admissible cells must not exceed
-    mu n^2 / (-4 log mu); and an externally measured total, when given,
-    must sit under exp(-mu n / 4).
-    """
-
-    n: int
-    mu: float
-    cells: tuple
-    cell_count_bound: float
-    cell_count_ok: bool
-    measured_total: float | None
-    headline_bound: float
-    headline_ok: bool | None
-    skipped_reason: str | None
-
-    @property
-    def all_cells_ok(self) -> bool:
-        return all(c.ok for c in self.cells)
-
-    @property
-    def passed(self) -> bool:
-        chain = self.all_cells_ok and self.cell_count_ok
-        if self.headline_ok is None:
-            return chain
-        return chain and self.headline_ok
-
-
-def volume_chain_check(n: int, mu: float, sigma: float, eta: int,
-                       measured_total: float | None = None) -> ChainReport:
-    """Check the per-cell volume-decay chain at depth n.
-
-    Cells (l, t) outside the admissibility caps are skipped; when the caps
-    admit no cell at all (depths below roughly -4 log(mu)/mu times the
-    block cap), the report says so instead of vacuously passing.
-    """
-    if not (0 < mu < 1 and sigma > 1 and eta >= 1):
-        raise ValueError("need 0 < mu < 1, sigma > 1, eta >= 1")
-    cap_outside = mu / (8.0 * log(sigma))
-    cap_blocks = mu / (-4.0 * log(mu))
-    headline = exp(-mu * n / 4.0)
-
-    cells = []
-    l_min = max(1, int(np.ceil(n / (1.0 + cap_outside))))
-    for l in range(l_min, n):
-        if (n - l) / l > cap_outside:
-            continue
-        t_max = min(int(np.floor(cap_blocks * l)), n - l, l)
-        for t in range(1, t_max + 1):
-            lhs = ((13.0 / 32.0) * mu * l + (n - l) * log(2.0)
-                   + (n - l) * log(eta / sigma ** 2) - (61.0 / 32.0) * mu * l)
-            mid = -0.5 * mu * l
-            rhs = -0.25 * mu * n
-            cells.append(ChainCell(l=l, t=t, lhs=lhs, mid=mid, rhs=rhs,
-                                   ok=lhs <= mid <= rhs))
-
-    count_bound = mu * n * n / (-4.0 * log(mu))
-    skipped = None
-    if not cells:
-        skipped = ("no admissible (l, t) cell at this depth: the block cap "
-                   f"mu/(-4 log mu) = {cap_blocks:.4g} admits t >= 1 only for "
-                   f"l >= {int(np.ceil(1.0 / cap_blocks))}")
-    headline_ok = None if measured_total is None else measured_total <= headline
-    return ChainReport(n=n, mu=mu, cells=tuple(cells),
-                       cell_count_bound=count_bound,
-                       cell_count_ok=len(cells) <= count_bound,
-                       measured_total=measured_total, headline_bound=headline,
-                       headline_ok=headline_ok, skipped_reason=skipped)
 
 
 def lemma_cell_bound(l: int, t: int, mu: float) -> BoundCheck:

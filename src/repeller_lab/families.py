@@ -232,16 +232,6 @@ class HopfModel2D(_TenBranchTorus):
         _, w = self._w(points)
         return np.log(self.profile.value(np.minimum(w, self.delta0)))
 
-    def singular_values(self, points):
-        """(least, greatest) singular values of Df: (Phi, Phi + 2 w Phi')."""
-        _, w = self._w(points)
-        w = np.minimum(w, self.delta0)
-        return self.profile.value(w), self.profile.stretch(w)
-
-    def jacobian_log(self, points):
-        lo, hi = self.singular_values(points)
-        return np.log(lo) + np.log(hi)
-
     def jacobian_matrices(self, points):
         p, w = self._w(points)
         val = self.profile.value(np.minimum(w, self.delta0))
@@ -701,88 +691,3 @@ def invariant_circle_radius(model, mu: float | None = None) -> float:
     rebuilt = build_phi(mu, prof.sigma, prof.delta0, prof.delta1, prof.sigma1,
                         slope=prof.slope, quad=prof.quad)
     return circle_radius(rebuilt)
-
-
-@dataclass(frozen=True)
-class JacobianCheck:
-    """Sampled verification of the two log-Jacobian floor bounds."""
-
-    mu: float
-    samples: int
-    min_outside_inner_disk: float
-    bound_outside_inner_disk: float
-    min_outside_hole: float
-    bound_outside_hole: float
-    analytic_min_outside_hole: float
-    mu_cross: float
-    counterexamples: tuple
-
-    @property
-    def passed(self) -> bool:
-        return (self.min_outside_inner_disk >= self.bound_outside_inner_disk
-                and self.min_outside_hole >= self.bound_outside_hole)
-
-
-def jacobian_bounds_check(model: HopfModel2D, samples: int = 100_000,
-                          seed: int = 0) -> JacobianCheck:
-    """Check the Jacobian floors: 2 log sigma1 outside the inner disk
-    {w <= delta1}, and (61/32) mu outside the hole.
-
-    Alongside the sampled minima, reports the analytic infimum of the
-    log-Jacobian outside the hole — log of Phi(w*) (Phi(w*) + 2 w* Phi'),
-    attained on the neutral circle — and the crossing parameter mu_cross
-    where that infimum meets (61/32) mu: above it the second floor fails
-    on a thin annulus at the hole boundary, so sampled minima may pass
-    while the infimum does not.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    pts = rng.random((samples, 2))
-    _, w = model._w(pts)
-    logjac = model.jacobian_log(pts)
-    mu = model.mu
-
-    outer = w > model.delta1
-    bound1 = 2.0 * float(np.log(model.profile.sigma1))
-    min1 = float(logjac[outer].min())
-
-    off_hole = ~model.in_hole(pts)
-    bound2 = (61.0 / 32.0) * mu
-    min2 = float(logjac[off_hole].min())
-
-    wstar = model.w_star
-    phi = model.profile
-    analytic = float(np.log(phi.value(wstar)) + np.log(phi.stretch(wstar)))
-
-    def gap(m):
-        # neutral radius squared solves quad ws^2 + slope ws = m (quadratic
-        # zone), where log Phi = 0 and the infimum is log stretch
-        if phi.quad == 0:
-            ws = m / phi.slope
-        else:
-            ws = ((-phi.slope + np.sqrt(phi.slope ** 2 + 4 * phi.quad * m))
-                  / (2 * phi.quad))
-        stretch = 1.0 + 2.0 * ws * (phi.slope + 2.0 * phi.quad * ws)
-        return np.log(stretch) - (61.0 / 32.0) * m
-
-    # keep the bracket inside the quadratic zone (ws <= delta1)
-    lo, hi = 1e-4, min(0.5, 0.99 * (phi.slope * phi.delta1 + phi.quad * phi.delta1 ** 2))
-    mu_cross = float("nan")
-    if gap(lo) > 0 > gap(hi):
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if gap(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        mu_cross = 0.5 * (lo + hi)
-
-    bad = []
-    if min1 < bound1:
-        bad.append(("outside-inner-disk", pts[outer][int(np.argmin(logjac[outer]))]))
-    if min2 < bound2:
-        bad.append(("outside-hole", pts[off_hole][int(np.argmin(logjac[off_hole]))]))
-    return JacobianCheck(mu=mu, samples=samples,
-                         min_outside_inner_disk=min1, bound_outside_inner_disk=bound1,
-                         min_outside_hole=min2, bound_outside_hole=bound2,
-                         analytic_min_outside_hole=analytic, mu_cross=mu_cross,
-                         counterexamples=tuple(bad))

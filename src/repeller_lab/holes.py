@@ -204,10 +204,12 @@ def check_word(system: MapWithHoles, word) -> bool:
     """True when a word's transitions respect the adjacency.
 
     A word is a sequence of branch symbols (a_1, ..., a_n); the package
-    keeps words as tuples of ints.  Raises ValueError for an empty word or
-    a symbol outside 0..n_branches-1.
+    keeps words as tuples of ints.  Raises TypeError for a symbol that is
+    not an integer, and ValueError for an empty word or a symbol outside
+    0..n_branches-1.
     """
-    if len(word) == 0:
+    word = tuple(map(operator.index, word))
+    if not word:
         raise ValueError("word must be nonempty")
     if min(word) < 0 or max(word) >= system.n_branches:
         raise ValueError(f"word symbol out of range for {system.n_branches} branches")
@@ -236,10 +238,6 @@ class CylinderGeometry:
     vol_lo: float
     vol_hi: float
     empty: bool
-
-    @property
-    def epsilon(self) -> float:
-        return self.base ** -self.k
 
     def covers(self, points: np.ndarray) -> np.ndarray:
         """True per point when the point lies in one of the cover boxes."""

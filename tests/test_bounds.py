@@ -17,7 +17,6 @@ from repeller_lab.bounds import (
     lt_constraints,
     prefactor_bound,
     stirling_binomial_bound,
-    volume_chain_check,
 )
 
 
@@ -204,46 +203,6 @@ def test_depth_threshold_matches_planar_hole():
     assert depth_threshold(1e-300, 0.1, n_max=1000) is None
     with pytest.raises(ValueError):
         depth_threshold(0.0, 0.1)
-
-
-# ------------------------------------------------------------- chain check
-
-def test_volume_chain_no_admissible_cells_is_reported():
-    report = volume_chain_check(50, 0.1, sigma=np.sqrt(10.0), eta=10)
-    assert len(report.cells) == 0
-    assert report.skipped_reason is not None
-    assert "93" in report.skipped_reason
-    assert report.passed  # nothing to violate, but the reason is recorded
-
-
-def test_volume_chain_at_depth_1000():
-    report = volume_chain_check(1000, 0.1, sigma=np.sqrt(10.0), eta=10,
-                                measured_total=1e-12)
-    assert len(report.cells) > 0
-    assert report.all_cells_ok
-    assert report.cell_count_ok
-    assert len(report.cells) <= report.cell_count_bound
-    assert report.headline_bound == pytest.approx(exp(-0.1 * 1000 / 4))
-    assert report.headline_ok and report.passed
-    # every admissible cell keeps the fast-letter fraction under its cap
-    cap = 0.1 / (8 * log(np.sqrt(10.0)))
-    for cell in report.cells:
-        assert (1000 - cell.l) / cell.l <= cap
-
-
-def test_volume_chain_headline_can_fail():
-    report = volume_chain_check(1000, 0.1, sigma=np.sqrt(10.0), eta=10,
-                                measured_total=1.0)
-    assert report.headline_ok is False
-    assert not report.passed
-    assert report.all_cells_ok  # the per-cell chain itself is intact
-
-
-def test_volume_chain_validation():
-    with pytest.raises(ValueError):
-        volume_chain_check(100, 1.2, sigma=3.0, eta=10)
-    with pytest.raises(ValueError):
-        volume_chain_check(100, 0.1, sigma=0.9, eta=10)
 
 
 # ------------------------------------------------------- claimed cell bound

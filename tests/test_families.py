@@ -13,7 +13,6 @@ from repeller_lab.families import (
     disk_trap,
     escape_time,
     invariant_circle_radius,
-    jacobian_bounds_check,
     survivor_grid,
     verify_trap,
 )
@@ -289,7 +288,9 @@ def test_singular_values_match_svd():
     model = HopfModel2D(0.1)
     rng = np.random.default_rng(2)
     pts = rng.random((200, 2)) * 0.25  # bias toward the deformation disk
-    lo, hi = model.singular_values(pts)
+    # radially Phi + 2 w Phi' (the stretch), tangentially Phi, at w = rho^2
+    w = np.minimum(np.sum(centered(pts) ** 2, axis=1), model.delta0)
+    lo, hi = model.profile.value(w), model.profile.stretch(w)
     sv = np.linalg.svd(model.jacobian_matrices(pts), compute_uv=False)
     assert np.allclose(sv[:, -1], lo, rtol=1e-10)
     assert np.allclose(sv[:, 0], hi, rtol=1e-10)
@@ -324,26 +325,12 @@ def test_lip_bound_dominates_observed_stretch():
         assert np.all(d1[good] <= bound[k] * d0[good] * (1 + 1e-6))
 
 
-# ------------------------------------------------------- Jacobian floors
-
-def test_jacobian_floors_sampled():
-    report = jacobian_bounds_check(HopfModel2D(0.02), samples=100_000, seed=0)
-    assert report.passed
-    assert report.min_outside_inner_disk >= report.bound_outside_inner_disk
-    assert report.min_outside_hole >= report.bound_outside_hole
-
-
-def test_jacobian_floor_crossing_parameter():
-    report = jacobian_bounds_check(HopfModel2D(0.02), samples=1000, seed=0)
-    # analytic infimum log(1+2mu) meets (61/32) mu just below mu = 0.05
-    assert report.mu_cross == pytest.approx(0.049975, abs=1e-4)
-    r2 = jacobian_bounds_check(HopfModel2D(0.06), samples=1000, seed=0)
-    assert r2.analytic_min_outside_hole < r2.bound_outside_hole
-
+# -------------------------------------------------------------- Jacobian
 
 def test_jacobian_inside_hole_is_contracting_at_fixed_point():
     model = HopfModel2D(0.1)
-    at_zero = model.jacobian_log(np.array([[0.0, 0.0]]))
+    det = np.linalg.det(model.jacobian_matrices(np.array([[0.0, 0.0]])))
+    at_zero = np.log(np.abs(det))
     assert at_zero[0] == pytest.approx(2 * np.log(1 - 0.1), abs=1e-12)
     assert at_zero[0] < 0
 

@@ -168,6 +168,10 @@ def test_check_word_range_and_adjacency():
     assert check_word(toy, (0, 1, 0, 1))
     assert check_word(toy, [0, 1, 0, 1])
     assert check_word(toy, np.array([0, 1, 0, 1]))
+    # a float symbol is an error, not a truncated or compared branch index
+    for bad in [(0.7, 1.9), (0.0, 1.0)]:
+        with pytest.raises(TypeError):
+            check_word(toy, bad)
     markov = MarkovTripling()
     assert not check_word(markov, (0, 1))
     assert check_word(markov, (1, 0, 0))
@@ -200,7 +204,6 @@ def test_tripling_two_letter_cylinder_exact_interval():
     assert np.all(geo.witnesses[:, 0] >= 2.0 / 9.0 - 1e-12)
     assert np.all(geo.witnesses[:, 0] <= 1.0 / 3.0 + 1e-12)
     assert geo.covers(geo.witnesses).all()
-    assert geo.epsilon == pytest.approx(3.0 ** -5)
 
 
 def test_single_letter_cylinder_is_branch_domain():
