@@ -3,8 +3,9 @@ The exact-arithmetic bound suite
 ================================
 
 Counting slow itineraries reduces to a chain of combinatorial
-inequalities, and every link is checked here with exact integers or
-rationals -- floats appear only after an inequality already holds.  The
+inequalities, and every link is checked here with exact integers --
+floats appear only after an inequality already holds, or as a screen
+whose error bound is certified.  The
 suite reports honestly: one entropy probe is *meant* to fail (it marks
 where the estimate stops being valid), and one lemma-style cell bound
 genuinely fails at deep cells, which the package reports rather than
@@ -36,7 +37,8 @@ def main() -> None:
         print(f"  n={n:2d} l={l:2d} t={t}: exact {chk.lhs:>10} <= "
               f"bound {chk.rhs:>14}   ok={chk.ok}")
 
-    # 2. Stirling-flavoured binomial bound, exact big integers.
+    # 2. Stirling-flavoured binomial bound: a certified float screen,
+    # exact big integers wherever the screen cannot decide.
     print("\nbinomial C(l,t) * t^t * (l-t)^(l-t) <= l^l (big-int exact):")
     for (l, t) in [(50, 7), (500, 60), (4000, 123)]:
         chk = stirling_binomial_bound(l, t)
@@ -50,7 +52,7 @@ def main() -> None:
     print(f"  sharp probe (l=400, t=80, tau=0.5): ok={probe.ok}   "
           f"lhs={probe.lhs:.3f} rhs={probe.rhs:.3f}  <- fails by design")
 
-    # 4. Prefactor comparison via exact rationals.
+    # 4. Prefactor comparison as one exact integer inequality.
     chk = prefactor_bound(100, 3)
     print(f"\nprefactor (4l+1)^2/(16 l^2) <= t*pi at l=100, t=3: ok={chk.ok}")
 

@@ -3,8 +3,9 @@
 Words that spend most of their time in the slow branch but make a few
 excursions are counted by block patterns: l letters of the slow symbol in
 t maximal blocks, alternating with t blocks of fast symbols.  Everything
-here is checked at integer or rational precision where possible; floating
-point only enters through logarithms of exact integers.
+here is checked in exact integer arithmetic where possible; floating point
+enters through logarithms of exact integers, and as a screen only where its
+error bound is stated and certified (``stirling_binomial_bound``).
 
 The headline object is ``delta_bound``, the depth-volume envelope
 
@@ -17,7 +18,7 @@ measured volume of the slow set at depth n is compared against it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from decimal import Decimal, localcontext
 from math import comb, exp, log
 
 import numpy as np
@@ -38,17 +39,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """One verified inequality: lhs <= rhs (or == for identities)."""
+    """One verified inequality: lhs <= rhs (or == for identities).
+
+    lhs and rhs are exact ints for integer counts (``count_patterns``) and
+    floats otherwise; the ints may lie far beyond float range.
+    """
 
     name: str
-    lhs: float
-    rhs: float
+    lhs: int | float
+    rhs: int | float
     ok: bool
     params: dict
 
     def __str__(self):
         verdict = "ok" if self.ok else "VIOLATED"
-        return f"{self.name}{self.params}: {self.lhs:.6g} <= {self.rhs:.6g} [{verdict}]"
+        return f"{self.name}{self.params}: {_g6(self.lhs)} <= {_g6(self.rhs)} [{verdict}]"
+
+
+def _g6(x) -> str:
+    """``x`` to six significant digits; an int past float range is rounded
+    exactly (half to even) by Decimal instead of through a float."""
+    try:
+        return f"{x:.6g}"
+    except OverflowError:
+        with localcontext() as ctx:
+            ctx.prec = 6
+            return f"{(+Decimal(x)).normalize():g}"
 
 
 # ----------------------------------------------------------- block patterns
@@ -73,20 +89,48 @@ def count_patterns(n: int, l: int, t: int, m: int) -> BoundCheck:
                       ok=exact <= bound, params={"n": n, "l": l, "t": t, "m": m})
 
 
+# Relative error allowance of the Stirling float screen; see
+# stirling_binomial_bound for the bound it covers.
+_LOG_SCREEN = 2.0 ** -40
+
+
 def stirling_binomial_bound(l: int, t: int) -> BoundCheck:
     """Entropy-form binomial bound C(l,t) <= l^l / (t^t (l-t)^(l-t)).
 
-    Verified exactly by cross-multiplying in integer arithmetic; the
-    reported lhs/rhs are logarithms for readability.  Restricted to
-    1 <= t < l/2, the regime used by the block-pattern counts.
+    The reported lhs/rhs are the logarithms L = log C(l,t) and
+    R = A - B - C with A = l log l, B = t log t, C = (l-t) log(l-t), all
+    in double precision.  The verdict is exact: a cell is accepted from
+    these floats only when R - L > 2^-40 (A + L + 1), and every other cell
+    is decided by cross-multiplying in integer arithmetic.
+
+    The screen is certified as follows, with u = 2^-53 and math.log
+    within one ulp (2u relative) of the true logarithm:
+
+    * L: rounding C(l,t) to a float moves its logarithm by at most u,
+      and the log adds 2u|L|.  Past float range CPython takes
+      log(m) + e log 2 from C(l,t) = m 2^e, which stays within
+      4u|L| + 5u.  So L is within 4u|L| + 5u.
+    * R: each product k * log(k) is within 3u of its value relative to
+      it, and the two subtractions add u|A - B| + u|R|.  Since B + C <= A
+      and 0 <= R <= A, the total is at most 3u(A + B + C) + 2uA <= 8uA.
+
+    So |(R - L) - (true R - true L)| <= 8uA + 4uL + 5u + u|R - L|
+    <= 16u (A + L + 1), which is 512 times smaller than the screen's
+    margin; the margin also absorbs a libm that is off by hundreds of
+    ulps.  The true gap R - L grows like (1/2) log t; for l <= 3000 it is
+    never below 2 log(3/2) = 0.81 (l = 3, t = 1), so the screen decides
+    every such cell.  Restricted to 1 <= t < l/2, the regime used by the
+    block-pattern counts.
     """
     if not (1 <= t and 2 * t < l):
         raise ValueError("comparison is stated for 1 <= t < l/2")
-    lhs_int = comb(l, t) * t ** t * (l - t) ** (l - t)
-    rhs_int = l ** l
-    return BoundCheck(name="stirling-binomial", lhs=log(comb(l, t)),
-                      rhs=l * log(l) - t * log(t) - (l - t) * log(l - t),
-                      ok=lhs_int <= rhs_int, params={"l": l, "t": t})
+    c = comb(l, t)
+    lhs = log(c)
+    a = l * log(l)
+    rhs = a - t * log(t) - (l - t) * log(l - t)
+    ok = rhs - lhs > _LOG_SCREEN * (a + lhs + 1) or c * t ** t * (l - t) ** (l - t) <= l ** l
+    return BoundCheck(name="stirling-binomial", lhs=lhs, rhs=rhs, ok=ok,
+                      params={"l": l, "t": t})
 
 
 def entropy_bound(l: int, t: int, tau: float, *, enforce: bool = True) -> BoundCheck:
@@ -112,15 +156,18 @@ def entropy_bound(l: int, t: int, tau: float, *, enforce: bool = True) -> BoundC
 
 
 def prefactor_bound(l: int, t: int) -> BoundCheck:
-    """Exact rational check ((4l+1)/(4l))^2 / ... <= t * pi, in the form
-    (4l+1)^2 / (16 l^2) <= t * pi using the rational lower bound
-    pi > 314159/100000."""
+    """Exact check (4l+1)^2 / (16 l^2) <= t * pi, using the rational lower
+    bound pi > 314159/100000, as the integer comparison
+    (4l+1)^2 * 100000 <= 16 l^2 * t * 314159.
+
+    The reported lhs/rhs are the two ratios as correctly rounded int/int
+    divisions, so they equal the floats of the reduced fractions.
+    """
     if l < 1 or t < 1:
         raise ValueError("need l >= 1 and t >= 1")
-    lhs = Fraction((4 * l + 1) ** 2, 16 * l ** 2)
-    rhs = t * Fraction(314159, 100000)
-    return BoundCheck(name="pattern-prefactor", lhs=float(lhs), rhs=float(rhs),
-                      ok=lhs <= rhs, params={"l": l, "t": t})
+    num, den = (4 * l + 1) ** 2, 16 * l * l
+    return BoundCheck(name="pattern-prefactor", lhs=num / den, rhs=t * 314159 / 100000,
+                      ok=num * 100000 <= den * t * 314159, params={"l": l, "t": t})
 
 
 # -------------------------------------------------- depth/parameter caps

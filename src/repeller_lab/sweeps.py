@@ -55,9 +55,29 @@ def _fmt_cell(value) -> str:
 
 
 def _write_csv(path: Path, header_lines, columns, rows):
-    lines = [*(f"# {ln}" for ln in header_lines), ",".join(columns)]
-    lines += [",".join(_fmt_cell(row.get(c)) for c in columns) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    """Write the commented header, the column line and one line per row.
+
+    Cells of the common exact types are formatted inline, as _fmt_cell
+    would format them; any other type (bool, numpy scalars, subclasses)
+    goes through _fmt_cell itself.
+    """
+    with path.open("w") as fh:
+        for ln in header_lines:
+            fh.write(f"# {ln}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            cells = []
+            for value in map(row.get, columns):
+                kind = type(value)
+                if kind is float or kind is int:
+                    cells.append(repr(value))
+                elif kind is str:
+                    cells.append(value.replace(",", ";"))
+                elif value is None:
+                    cells.append("")
+                else:
+                    cells.append(_fmt_cell(value))
+            fh.write(",".join(cells) + "\n")
 
 
 def _mu_tag(mu: float) -> str:

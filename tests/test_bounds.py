@@ -7,6 +7,7 @@ from math import comb, exp, log
 import numpy as np
 import pytest
 
+from repeller_lab import bounds
 from repeller_lab.bounds import (
     count_patterns,
     delta_bound,
@@ -56,6 +57,15 @@ def test_count_patterns_validation():
         count_patterns(6, 3, 1, 0)  # empty fast alphabet
 
 
+def test_count_check_prints_counts_past_float_range():
+    # both counts exceed 10^308, so formatting them through a float overflows
+    chk = count_patterns(400, 10, 3, 9)
+    assert chk.lhs > 2 ** 1024 and chk.rhs > 2 ** 1024
+    assert str(chk) == ("block-pattern-count{'n': 400, 'l': 10, 't': 3, 'm': 9}: "
+                        "3.87822e+378 <= 3.41348e+396 [ok]")
+    assert str(count_patterns(20, 10, 3, 9)).endswith(": 4.51887e+12 <= 2.025e+13 [ok]")
+
+
 def test_count_patterns_bound_dominates_on_grid():
     for n in range(4, 16):
         for l in range(1, n):
@@ -78,6 +88,49 @@ def test_stirling_binomial_holds_on_sampled_grid():
     for l in range(5, 1001, 97):
         for t in range(1, (l - 1) // 2 + 1, max(1, l // 11)):
             assert stirling_binomial_bound(l, t).ok
+
+
+def _acceptance_grid():
+    """Acceptance 6's Stirling/prefactor cells: 2 <= l <= 1000, 1 <= t < l/2."""
+    return ((l, t) for l in range(2, 1001) for t in range(1, (l + 1) // 2))
+
+
+_ACCEPTANCE_CELLS = 249_500
+
+
+def test_stirling_screen_matches_big_integers_on_acceptance_grid():
+    powers = [k ** k for k in range(1001)]
+    mismatched, cells = [], 0
+    for l, t in _acceptance_grid():
+        c = l if t == 1 else c * (l - t + 1) // t  # C(l, t) from C(l, t-1)
+        exact = c * powers[t] * powers[l - t] <= powers[l]
+        cells += 1
+        if stirling_binomial_bound(l, t).ok != exact:
+            mismatched.append((l, t))
+    assert cells == _ACCEPTANCE_CELLS
+    assert not mismatched
+
+
+def test_stirling_fallback_agrees_with_screen(monkeypatch):
+    # an infinite margin sends every cell to the integer cross-multiplication
+    cells = [(l, t) for l in range(3, 1001, 37) for t in range(1, (l + 1) // 2, 5)]
+    screened = [stirling_binomial_bound(l, t) for l, t in cells]
+    monkeypatch.setattr(bounds, "_LOG_SCREEN", float("inf"))
+    assert [stirling_binomial_bound(l, t) for l, t in cells] == screened
+    assert len(cells) > 1000 and all(chk.ok for chk in screened)
+
+
+def test_prefactor_matches_fractions_on_acceptance_grid():
+    pi_low, mismatched, cells = Fraction(314159, 100000), [], 0
+    for l, t in _acceptance_grid():
+        lhs, rhs = Fraction((4 * l + 1) ** 2, 16 * l ** 2), t * pi_low
+        chk = prefactor_bound(l, t)
+        cells += 1
+        if (chk.ok, chk.lhs.hex(), chk.rhs.hex()) != (lhs <= rhs, float(lhs).hex(),
+                                                      float(rhs).hex()):
+            mismatched.append((l, t))
+    assert cells == _ACCEPTANCE_CELLS
+    assert not mismatched
 
 
 def test_stirling_binomial_rejects_large_t():

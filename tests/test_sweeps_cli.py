@@ -16,9 +16,10 @@ from repeller_lab.config import (KNOWN_FAMILIES, ConfigError, SweepConfig,
                                  config_hash, parse_config, read)
 from repeller_lab.families import HopfModel2D
 from repeller_lab.svgplot import SvgPlot
-from repeller_lab.sweeps import (DIM_CACHE_VERSION, cache_dir, cache_get,
-                                 cache_put, cmd_a2, cmd_bounds, cmd_dim,
-                                 cmd_induced, make_family, sweep_all)
+from repeller_lab.sweeps import (DIM_CACHE_VERSION, _fmt_cell, _write_csv,
+                                 cache_dir, cache_get, cache_put, cmd_a2,
+                                 cmd_bounds, cmd_dim, cmd_induced, make_family,
+                                 sweep_all)
 
 
 # ------------------------------------------------------------------ config
@@ -366,6 +367,17 @@ def test_bounds_csv_schema(tmp_path):
     cols = [ln for ln in lines if not ln.startswith("#")][0]
     assert cols == "check,n,l,t,mu,exact,bound,pass"
     assert any(",xfail" in ln for ln in lines)
+
+
+def test_write_csv_formats_cells_as_fmt_cell(tmp_path):
+    # the golden digests pin these bytes: every cell type a row may hold,
+    # numpy scalars included, must format exactly as _fmt_cell does
+    values = [True, False, None, 0.1, np.float64(0.1), np.int64(3), 9 ** 400, "a,b"]
+    columns = tuple("abcdefgh")
+    _write_csv(tmp_path / "x.csv", ["k = v"], columns, [dict(zip(columns, values))])
+    expected = f"# k = v\na,b,c,d,e,f,g,h\ntrue,false,,0.1,0.1,3,{9 ** 400},a;b\n"
+    assert expected.splitlines()[2] == ",".join(map(_fmt_cell, values))
+    assert (tmp_path / "x.csv").read_bytes() == expected.encode()
 
 
 def test_bounds_known_false_cell_exits_nonzero(tmp_path, capsys):
