@@ -19,7 +19,7 @@ import argparse
 
 import numpy as np
 
-from repeller_lab import HopfModel2D, disk_trap, escape_time, lebesgue_estimate, survivor_grid
+from repeller_lab import HopfModel2D, escape_time, lebesgue_estimate, survivor_grid
 
 
 def main() -> None:
@@ -46,7 +46,7 @@ def main() -> None:
     # (default: half the circle radius) removes orbits that converge inward.
     print("\n horizon   survivors   fraction")
     for horizon in (5, 20, 80, 320):
-        pts = survivor_grid(model, args.grid, horizon, trap=model.default_trap())
+        pts = survivor_grid(model, args.grid, horizon)
         frac = pts.shape[0] / float(args.grid ** model.d)
         print(f"  {horizon:6d}   {pts.shape[0]:9d}   {frac:.6f}")
 
@@ -55,7 +55,7 @@ def main() -> None:
     # is thin, so long-lived points are rare.
     rng = np.random.default_rng(args.seed)
     cloud = rng.uniform(0.0, 1.0, size=(50_000, model.d))
-    survives, steps = escape_time(model, cloud, 64, trap=disk_trap(model.rho_inv / 2))
+    survives, steps = escape_time(model, cloud, 64)
     caught = steps[~survives]
     print("\ntrap-entry times over a 50k cloud, horizon 64:")
     print(f"  entered the trap: {caught.size}   survived: {np.count_nonzero(survives)}")

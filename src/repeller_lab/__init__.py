@@ -22,8 +22,8 @@ from .holes import (CylinderGeometry, MapWithHoles, check_word, pullback_witness
                     refine_cylinder)
 from .induced import (ExpansionCheck, InducedExpander, InducedHole,
                       build_induced, induced_hole_volume, verify_expansion)
-from .profiles import (CONDITION_NAMES, PhiProfile, ProfileError, build_phi,
-                       circle_radius, profile_3d, vertical_ramp)
+from .profiles import (PhiProfile, ProfileError, build_phi, circle_radius, profile_3d,
+                       vertical_ramp)
 from .sweeps import cmd_a2, cmd_bounds, cmd_dim, cmd_induced, hole_survivors, make_family, sweep_all
 
 __version__ = "0.1.0"
@@ -44,7 +44,7 @@ __all__ = [
     "pullback_witnesses", "refine_cylinder",
     "ExpansionCheck", "InducedExpander", "InducedHole", "build_induced",
     "induced_hole_volume", "verify_expansion",
-    "CONDITION_NAMES", "PhiProfile", "ProfileError", "build_phi",
+    "PhiProfile", "ProfileError", "build_phi",
     "circle_radius", "profile_3d", "vertical_ramp",
     "cmd_a2", "cmd_bounds", "cmd_dim", "cmd_induced", "hole_survivors", "make_family",
     "sweep_all",

@@ -226,10 +226,11 @@ class DepthRow:
 
 
 def a2_report(system: MapWithHoles, n_values, *, threshold=None,
-              resolution: float = 2.0 ** -9, samples: int = 200_000,
-              seed: int = 0, max_words: int = 100_000,
+              samples: int = 200_000, seed: int = 0, max_words: int = 100_000,
               witness_targets: int = 4) -> list:
     """Measured slow-set volume against the depth envelope, per depth.
+
+    Each kept word's cylinder is refined on the dyadic grid of side 2^-9.
 
     Flags: ``ok`` (measured under the envelope), ``fail`` (over it at a
     depth the envelope is meant to control, i.e. past the depth where it
@@ -260,7 +261,7 @@ def a2_report(system: MapWithHoles, n_values, *, threshold=None,
             vol_hi = float("nan")
         else:
             for word in census.kept:
-                geo = refine_cylinder(system, word, resolution,
+                geo = refine_cylinder(system, word, 2.0 ** -9,
                                       witness_targets=witness_targets, seed=seed)
                 vol_lo += geo.vol_lo
                 vol_hi += geo.vol_hi

@@ -12,11 +12,13 @@ The spatial model does the same on T^3 with the companion matrix of
 x^3 + 10x - 1 (determinant one, a real eigenvalue ~0.0999 and a complex
 expanding pair of modulus ~3.1639): the deformation acts on the expanding
 plane in eigencoordinates and is blended away in the contracting
-direction.  Only escape-time dynamics are exposed for it.
+direction.  It exposes the step, the Jacobian and the trap, but no
+symbolic coding, so only escape-time drivers apply to it.
 
 The one-dimensional families are the tripling map with the middle-thirds
 hole, and a degree-two circle covering with a hole segment shrinking like
 sqrt(t) whose derivative stays above 1 + sqrt(t) away from the hole.
+Both are circle maps coded by two closed arcs (``_ArcMap``).
 """
 
 from __future__ import annotations
@@ -31,6 +33,22 @@ from .profiles import PhiProfile, build_phi, circle_radius, profile_3d
 
 SQRT10 = float(np.sqrt(10.0))
 HALF_LOG10 = 0.5 * float(np.log(10.0))  # log SQRT10, the conformal branch floor
+
+
+def _bisect(fn, target, lo, hi):
+    """Solve fn(x) = target for an increasing fn on [lo, hi], elementwise.
+
+    Sixty halvings, so the bracket shrinks to (hi - lo) 2^-60; returns
+    the midpoint of the final bracket, shaped like ``target``.
+    """
+    target = np.asarray(target, dtype=float)
+    lo, hi = np.full_like(target, lo), np.full_like(target, hi)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        low = fn(mid) < target
+        lo = np.where(low, mid, lo)
+        hi = np.where(low, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 # =====================================================================
@@ -210,7 +228,6 @@ class HopfModel2D(_TenBranchTorus):
                 volume=self.mu_f, label="attracting-basin-disk")
         else:
             self.hole = None
-        self._trap_checked = None
 
     # ------------------------------------------------------------- local
 
@@ -271,20 +288,12 @@ class HopfModel2D(_TenBranchTorus):
         need = dist < np.sqrt(self.delta0)
         if need.any():
             flat[need] = self._radial_preimage(flat[need], dist[need])
-        sel = _select_matching_preimage(self, symbol, flat.reshape(n, k, 2))
-        return sel
+        return _select_matching_preimage(self, symbol, flat.reshape(n, k, 2))
 
     def _radial_preimage(self, p, dist):
         """Invert rho -> Phi(rho^2) rho / sigma on the deformation disk."""
-        lo = np.zeros(len(p))
-        hi = np.full(len(p), np.sqrt(self.delta0))
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            val = self.profile.value(mid * mid) * mid / self.sigma
-            toolow = val < dist
-            lo[toolow] = mid[toolow]
-            hi[~toolow] = mid[~toolow]
-        rho = 0.5 * (lo + hi)
+        rho = _bisect(lambda r: self.profile.value(r * r) * r / self.sigma,
+                      dist, 0.0, np.sqrt(self.delta0))
         with np.errstate(invalid="ignore", divide="ignore"):
             unit = np.where(dist[:, None] > 0, p / dist[:, None], 0.0)
         return unit * rho[:, None]
@@ -357,7 +366,6 @@ class HopfModel3D:
         self.delta0, self.delta1 = delta0, delta1
         self.b1 = float(self.profile.derivative(0.0))
         self.rho_inv = circle_radius(self.profile)
-        self._trap_checked = None
 
     def _certify_spectrum(self):
         det = float(np.linalg.det(_A3))
@@ -429,7 +437,7 @@ def disk_trap(radius: float) -> TrapRegion:
     def contains(points):
         return _radius2(centered(np.atleast_2d(points))) <= radius * radius
 
-    def boundary_sample(count, seed=0):
+    def boundary_sample(count):
         theta = np.linspace(0, 2 * np.pi, count, endpoint=False)
         return wrap(radius * np.stack([np.cos(theta), np.sin(theta)], axis=1))
 
@@ -446,8 +454,8 @@ def cylinder_trap(model: HopfModel3D) -> TrapRegion:
         _, w, z = model._coords(points)
         return (w <= r * r) & (np.abs(z) <= zmax)
 
-    def boundary_sample(count, seed=0):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    def boundary_sample(count):
+        rng = np.random.default_rng(np.random.SeedSequence(0))
         n_side = count // 2
         n_cap = count - n_side
         theta = rng.uniform(0, 2 * np.pi, n_side)
@@ -463,95 +471,40 @@ def cylinder_trap(model: HopfModel3D) -> TrapRegion:
                       empty=r <= 0, label=f"cylinder-trap r={r:.6g} z={zmax:.6g}")
 
 
-def verify_trap(model, trap: TrapRegion, samples: int = 10_000, seed: int = 0) -> bool:
-    """Forward-invariance of the trap, sampled on its boundary."""
+def verify_trap(model, trap: TrapRegion) -> bool:
+    """Forward-invariance of the trap, sampled at 10 000 boundary points."""
     if trap.empty:
         return True
-    pts = trap.boundary_sample(samples, seed)
+    pts = trap.boundary_sample(10_000)
     return bool(trap.contains(model.step(pts)).all())
 
 
-def escape_time(model, points, horizon: int, trap: TrapRegion | None = None):
-    """Iterate points and detect entry into the trapping region.
+def escape_time(model, points, horizon: int):
+    """Iterate points and detect entry into the model's default trap.
 
     Returns ``(survives, steps)``: a boolean per point that never entered
     the trap within ``horizon`` iterations, and the entry step (or the
-    horizon for survivors).  The trap's forward invariance is verified
-    once per model by boundary sampling; a failed verification downgrades
+    horizon for survivors).  Every call verifies the trap's forward
+    invariance by boundary sampling; a failed verification downgrades
     the run (``model.trap_advisory`` set), it does not raise.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if trap is None:
-        trap = model.default_trap()
-    if getattr(model, "_trap_checked", None) is None:
-        model._trap_checked = verify_trap(model, trap)
-    model.trap_advisory = not model._trap_checked
-
+    trap = model.default_trap()
+    model.trap_advisory = not verify_trap(model, trap)
     if trap.empty:
         return np.ones(len(pts), dtype=bool), np.full(len(pts), horizon, dtype=np.int64)
     return first_entry(model.step, pts, horizon, trap.contains)
 
 
-def survivor_grid(model, grid_n: int, horizon: int, trap: TrapRegion | None = None):
+def survivor_grid(model, grid_n: int, horizon: int):
     """Grid points whose orbits avoid the trap for ``horizon`` steps."""
     pts = grid_centers(model.d, grid_n)
-    return pts[escape_time(model, pts, horizon, trap)[0]]
+    return pts[escape_time(model, pts, horizon)[0]]
 
 
 # =====================================================================
 # 1D families
 # =====================================================================
-
-class TriplingToy(MapWithHoles):
-    """x -> 3x mod 1 with the middle-thirds interval as hole."""
-
-    d = 1
-    n_branches = 2
-    mu_f = 1.0 / 3.0
-    S = 1.0 / 3.0
-    delta_mu = 1.0 / 3.0
-    label = "tripling-with-hole"
-
-    CELLS = ((0.0, 1.0 / 3.0), (2.0 / 3.0, 1.0))
-
-    def __init__(self):
-        self.hole = Region(
-            contains=lambda p: (p[:, 0] > 1.0 / 3.0) & (p[:, 0] < 2.0 / 3.0),
-            bounding_box=np.array([[1.0 / 3.0, 2.0 / 3.0]]),
-            volume=1.0 / 3.0, label="middle-third")
-
-    def step(self, points):
-        return wrap(np.atleast_2d(points) * 3.0)
-
-    def symbol_of(self, points):
-        x = np.atleast_2d(points)[:, 0]
-        sym = np.full(len(x), -1, dtype=np.int64)
-        sym[x <= 1.0 / 3.0] = 0
-        sym[x >= 2.0 / 3.0] = 1
-        return sym
-
-    def deriv_inverse_norm(self, points):
-        return np.full(len(np.atleast_2d(points)), 1.0 / 3.0)
-
-    def jacobian_matrices(self, points):
-        return np.full((len(np.atleast_2d(points)), 1, 1), 3.0)
-
-    def cell_margin(self, symbol, points):
-        return _interval_margin(np.atleast_2d(points)[:, 0], *self.CELLS[symbol])
-
-    def lambda_min(self, symbol):
-        return float(np.log(3.0))
-
-    def lip_bound(self, points, rad):
-        return np.full(len(np.atleast_2d(points)), 3.0)
-
-    def inverse_branch(self, symbol, points):
-        y = np.atleast_2d(points)
-        return (y + 2.0 * symbol) / 3.0
-
-    def cell_bbox(self, symbol):
-        return np.array([list(self.CELLS[symbol])])
-
 
 def _interval_margin(x, a, b):
     """Signed circle-distance clearance to the arc [a, b] of T^1."""
@@ -562,7 +515,77 @@ def _interval_margin(x, a, b):
     return np.where(inside, d_in, -np.minimum(da, db))
 
 
-class DiazVianaFamily(MapWithHoles):
+class _ArcMap(MapWithHoles):
+    """Two-branch circle map x -> lift(x) mod 1 coded by closed arcs.
+
+    A subclass provides ``lift``, its ``derivative``, the derivative
+    minimum ``c1`` over the branch domains, and ``cells``: the closed arcs
+    [a, b] of symbols 0 and 1, inside [0, 1].  A point on both arcs (their
+    shared end) gets symbol 0; a point on neither gets -1.
+    """
+
+    d = 1
+    n_branches = 2
+
+    def step(self, points):
+        return wrap(self.lift(np.atleast_2d(points)))
+
+    def symbol_of(self, points):
+        x = np.atleast_2d(points)[:, 0]
+        sym = np.full(len(x), -1, dtype=np.int64)
+        for s in (1, 0):
+            a, b = self.cells[s]
+            sym[(x >= a) & (x <= b)] = s
+        return sym
+
+    def deriv_inverse_norm(self, points):
+        return 1.0 / self.derivative(np.atleast_2d(points)[:, 0])
+
+    def jacobian_matrices(self, points):
+        return self.derivative(np.atleast_2d(points)[:, 0])[:, None, None]
+
+    def cell_margin(self, symbol, points):
+        return _interval_margin(np.atleast_2d(points)[:, 0], *self.cells[symbol])
+
+    def lambda_min(self, symbol):
+        return float(np.log(self.c1))
+
+    def cell_bbox(self, symbol):
+        return np.array([list(self.cells[symbol])])
+
+
+class TriplingToy(_ArcMap):
+    """x -> 3x mod 1 with the middle-thirds interval as hole."""
+
+    mu_f = 1.0 / 3.0
+    S = 1.0 / 3.0
+    delta_mu = 1.0 / 3.0
+    c1 = 3.0
+    label = "tripling-with-hole"
+
+    cells = ((0.0, 1.0 / 3.0), (2.0 / 3.0, 1.0))
+
+    def __init__(self):
+        self.hole = Region(
+            contains=lambda p: (p[:, 0] > 1.0 / 3.0) & (p[:, 0] < 2.0 / 3.0),
+            bounding_box=np.array([[1.0 / 3.0, 2.0 / 3.0]]),
+            volume=1.0 / 3.0, label="middle-third")
+
+    def lift(self, u):
+        return u * 3.0
+
+    def derivative(self, u):
+        return np.full(np.shape(u), 3.0)
+
+    def lip_bound(self, points, rad):
+        return np.full(len(np.atleast_2d(points)), 3.0)
+
+    def inverse_branch(self, symbol, points):
+        y = np.atleast_2d(points)
+        return (y + 2.0 * symbol) / 3.0
+
+
+class DiazVianaFamily(_ArcMap):
     """Degree-two circle covering with a hole segment of length sqrt(t).
 
     The hole is the arc of length 2r = sqrt(t) centered at 0; on the
@@ -573,15 +596,15 @@ class DiazVianaFamily(MapWithHoles):
     with L = 1 - 2r, c1 = 1 + sqrt(t) and c2 fixed by degree two.  The
     derivative c1 + c2 (1 - cos(...)) attains its minimum c1 > 1 exactly
     at the hole-adjacent endpoints, so the expansion margin over the whole
-    domain is sqrt(t).  The second branch maps onto the domain arc exactly:
-    hole points have no preimage through it.
+    domain is sqrt(t) and log c1 is each branch's floor.  The second
+    branch maps onto the domain arc exactly: hole points have no preimage
+    through it.  The slow-set threshold scale is c0 = 1/4.
     """
 
-    d = 1
-    n_branches = 2
     label = "diaz-viana-1d"
+    c0 = 0.25
 
-    def __init__(self, t: float, c0: float = 0.25):
+    def __init__(self, t: float):
         if not (0 < t < 1):
             raise ValueError("parameter t must lie in (0, 1): "
                              "at t = 1 the hole covers the whole circle")
@@ -595,13 +618,12 @@ class DiazVianaFamily(MapWithHoles):
         self.mu_f = 2.0 * self.r
         self.delta_mu = self.mu_f
         self.S = 1.0 / self.c1
-        self.c0 = float(c0)
         r = self.r
         self.hole = Region(
             contains=lambda p: np.abs(centered(p)[:, 0]) < r,
             bounding_box=np.array([[0.0, 1.0]]), volume=2 * r, label="hole-arc")
-        self.u_mid = self._solve_lift(1.0 + self.r)
-        self.cells = ((self.r, self.u_mid), (self.u_mid, 1.0 - self.r))
+        self.u_mid = float(_bisect(self.lift, 1.0 + r, r, 1.0 - r))
+        self.cells = ((r, self.u_mid), (self.u_mid, 1.0 - r))
 
     def lift(self, u):
         s = np.asarray(u, dtype=float) - self.r
@@ -611,43 +633,6 @@ class DiazVianaFamily(MapWithHoles):
     def derivative(self, u):
         s = np.asarray(u, dtype=float) - self.r
         return self.c1 + self.c2 * (1.0 - np.cos(2 * np.pi * s / self.L))
-
-    def _solve_lift(self, target, lo=None, hi=None):
-        lo = self.r if lo is None else lo
-        hi = 1.0 - self.r if hi is None else hi
-        lo = np.full_like(np.asarray(target, dtype=float), lo, dtype=float)
-        hi = np.full_like(lo, hi)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            low = self.lift(mid) < target
-            lo = np.where(low, mid, lo)
-            hi = np.where(low, hi, mid)
-        out = 0.5 * (lo + hi)
-        return float(out) if out.ndim == 0 else out
-
-    def step(self, points):
-        return wrap(self.lift(np.atleast_2d(points)))
-
-    def symbol_of(self, points):
-        x = np.atleast_2d(points)[:, 0]
-        sym = np.full(len(x), -1, dtype=np.int64)
-        sym[(x >= self.r) & (x <= self.u_mid)] = 0
-        sym[(x > self.u_mid) & (x <= 1.0 - self.r)] = 1
-        return sym
-
-    def deriv_inverse_norm(self, points):
-        return 1.0 / self.derivative(np.atleast_2d(points)[:, 0])
-
-    def jacobian_matrices(self, points):
-        return self.derivative(np.atleast_2d(points)[:, 0])[:, None, None]
-
-    def cell_margin(self, symbol, points):
-        return _interval_margin(np.atleast_2d(points)[:, 0], *self.cells[symbol])
-
-    def lambda_min(self, symbol):
-        # the derivative minimum over either branch sits at a hole-adjacent
-        # endpoint where the sine term vanishes, giving exactly c1
-        return float(np.log(self.c1))
 
     def lip_bound(self, points, rad):
         u = np.atleast_2d(points)[:, 0]
@@ -663,15 +648,12 @@ class DiazVianaFamily(MapWithHoles):
         y = np.atleast_2d(points)[:, 0]
         if symbol == 0:
             target = np.where(y >= self.r, y, y + 1.0)
-            return self._solve_lift(target, self.r, self.u_mid)[:, None]
+            return _bisect(self.lift, target, self.r, self.u_mid)[:, None]
         out = np.full(len(y), np.nan)
         dom = (y >= self.r) & (y <= 1.0 - self.r)
         if dom.any():
-            out[dom] = self._solve_lift(y[dom] + 1.0, self.u_mid, 1.0 - self.r)
+            out[dom] = _bisect(self.lift, y[dom] + 1.0, self.u_mid, 1.0 - self.r)
         return out[:, None]
-
-    def cell_bbox(self, symbol):
-        return np.array([list(self.cells[symbol])])
 
 
 # =====================================================================

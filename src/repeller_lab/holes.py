@@ -92,7 +92,6 @@ class MapWithHoles:
     delta_mu : effective parameter at which the depth-volume bound
         delta(n, .) for this family is evaluated (the hole volume rescaled
         by the family's K factor; equal to mu_f for the toys).
-    domain_bbox : (d, 2) bounding box of the branch domains.
     """
 
     d: int
@@ -103,10 +102,6 @@ class MapWithHoles:
     hole: Region | None = None
     delta_mu: float = 0.0
     label: str = "map-with-holes"
-
-    @property
-    def domain_bbox(self) -> np.ndarray:
-        return np.array([[0.0, 1.0]] * self.d)
 
     # -- evaluators a subclass must provide ------------------------------
 
@@ -161,7 +156,8 @@ class MapWithHoles:
         return tuple(self.adjacency[symbol])
 
     def cell_bbox(self, symbol: int) -> np.ndarray:
-        return self.domain_bbox
+        """(d, 2) bounding box of the branch domain; the whole torus by default."""
+        return np.array([[0.0, 1.0]] * self.d)
 
     def sample_cell(self, symbol: int, count: int, seed: int = 0) -> np.ndarray:
         """Points of the branch domain, by rejection from its bounding box."""

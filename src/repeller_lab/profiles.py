@@ -23,9 +23,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-CONDITION_NAMES = ("floor_at_zero", "saturation", "derivative_bounds", "inner_growth")
-
-
 class ProfileError(ValueError):
     """Profile construction failure, carrying the violated condition name."""
 
@@ -220,19 +217,19 @@ def build_phi(mu: float, sigma: float, delta0: float = 0.02, delta1: float = 0.0
                       sigma1=sigma1, slope=slope, quad=quad)
 
 
-def circle_radius(profile: PhiProfile, tol: float = 1e-12) -> float:
+def circle_radius(profile: PhiProfile) -> float:
     """Radius rho solving Phi(rho^2) = 1: the radially neutral circle.
 
     Returns 0 when the profile has no sub-unit dip (mu <= 0).  For mu > 0
     the root is unique because Phi is strictly increasing, and bisection
-    converges to the requested tolerance in rho.
+    brackets it to within 1e-12 in rho.
     """
     if profile.value(0.0) >= 1.0:
         return 0.0
     lo, hi = 0.0, np.sqrt(profile.delta0)
     if profile.value(hi * hi) <= 1.0:
         raise ValueError("profile never re-crosses 1: invalid saturation value")
-    while hi - lo > tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if profile.value(mid * mid) < 1.0:
             lo = mid

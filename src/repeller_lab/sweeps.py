@@ -137,7 +137,7 @@ def cache_put(cdir: Path | None, key: str, payload):
 
 # Part of every dim cache key: raise it whenever a dim row's computation
 # changes, so a shared REPELLER_LAB_CACHE never serves rows of older code.
-DIM_CACHE_VERSION = 2
+DIM_CACHE_VERSION = 3
 
 _DIM_COLUMNS = ("mu", "mu_f", "rho_inv", "dimension", "ci", "slope_raw",
                 "residual", "survivors", "badset_ref", "flags", "config_hash")
@@ -160,15 +160,18 @@ def _dim_row(sc: SweepConfig, mu: float, chash: str) -> dict:
     flags = []
     mu_f = float(getattr(model, "mu_f", 0.0))
     rho = float(getattr(model, "rho_inv", float("nan")))
-    if mu_f <= 0:
+    trapped = hasattr(model, "default_trap")
+    # the orbits' absorber is the trap where the model has one, else the hole
+    no_absorber = model.default_trap().empty if trapped else model.hole is None
+    if no_absorber:
         flags.append("no-hole")
-    else:
+    if mu_f > 0:
         row["badset_ref"] = "a2.csv"
     if model.d == 3:
         flags.append("coarse")
-    if hasattr(model, "default_trap"):
+    if trapped:
         pts = survivor_grid(model, sc.grid_n, sc.horizon)
-        if getattr(model, "trap_advisory", False):
+        if model.trap_advisory:
             flags.append("trap-advisory")
     else:
         pts = hole_survivors(model, sc.grid_n, sc.horizon)
@@ -392,10 +395,11 @@ def cmd_induced(cfg: dict) -> int:
         if n0 is None:
             raise ConfigError("depth envelope never undercuts the hole volume; "
                               "set n0 explicitly")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warnings.catch_warnings():
+        # an empty induced domain is reported as degenerate_domain below
+        warnings.filterwarnings("ignore", "threshold clears no branch floor",
+                                RuntimeWarning)
         expander = build_induced(model, n0, ic.threshold, max_words=ic.max_words)
-        degenerate = any("induced domain" in str(w.message) for w in caught)
     if expander.partition.capped:
         raise ConfigError(f"max_words = {ic.max_words} is exceeded by the words reaching "
                           f"depth n0 = {n0}: the partition is incomplete; raise max_words")
@@ -412,7 +416,7 @@ def cmd_induced(cfg: dict) -> int:
         "config_hash": config_hash(resolved),
         "family": ic.family, "mu": ic.mu, "n0": n0,
         "threshold": float(expander.threshold),
-        "degenerate_domain": degenerate,
+        "degenerate_domain": not any(expander.partition.groups),
         "domain_pieces": len(expander.words),
         "return_time_histogram": {str(k): hist[k] for k in sorted(hist)},
         "floor_margin_min": expander.partition.min_margin,

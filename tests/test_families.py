@@ -365,9 +365,25 @@ def test_no_attractor_before_bifurcation():
 
 def test_trap_invariance_both_models():
     m2 = HopfModel2D(0.1)
-    assert verify_trap(m2, m2.default_trap(), samples=10_000)
+    assert verify_trap(m2, m2.default_trap())
     m3 = HopfModel3D(0.1)
-    assert verify_trap(m3, m3.default_trap(), samples=10_000)
+    assert verify_trap(m3, m3.default_trap())
+
+
+def test_escape_time_verifies_the_trap_it_runs_against():
+    # a disk past the neutral circle is not forward invariant, and each
+    # call judges the trap in use, whatever an earlier call was handed
+    model = HopfModel2D(0.1)
+    pts = np.array([[0.3, 0.3]])
+    assert not verify_trap(model, disk_trap(1.5 * model.rho_inv))
+    escape_time(model, pts, horizon=5)
+    assert not model.trap_advisory
+    model.default_trap = lambda: disk_trap(1.5 * model.rho_inv)
+    escape_time(model, pts, horizon=5)
+    assert model.trap_advisory
+    del model.default_trap
+    escape_time(model, pts, horizon=5)
+    assert not model.trap_advisory
 
 
 def test_survivor_grid_drops_hole_interior():
@@ -438,6 +454,31 @@ def test_tripling_basics():
     inv1 = toy.inverse_branch(1, np.array([[0.6]]))
     assert inv0[0, 0] == pytest.approx(0.2)
     assert inv1[0, 0] == pytest.approx(2.6 / 3)
+
+
+def _arc_ends_and_neighbours(cells):
+    """Every arc end and its two float neighbours, inside [0, 1]."""
+    ends = np.array([x for arc in cells for x in arc])
+    pts = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf)])
+    return pts[(pts >= 0.0) & (pts <= 1.0)]
+
+
+def test_tripling_symbols_at_arc_ends():
+    toy = TriplingToy()
+    x = _arc_ends_and_neighbours(toy.cells)
+    want = np.where(x <= 1.0 / 3.0, 0, np.where(x >= 2.0 / 3.0, 1, -1))
+    assert toy.symbol_of(x[:, None]).tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("t", [0.01, 0.25, 0.81])
+def test_diaz_viana_symbols_at_arc_ends(t):
+    # the shared end u_mid belongs to branch 0; the hole arc to neither
+    fam = DiazVianaFamily(t)
+    x = _arc_ends_and_neighbours(fam.cells)
+    assert len(x) == 12
+    want = np.where((x >= fam.r) & (x <= fam.u_mid), 0,
+                    np.where((x > fam.u_mid) & (x <= 1.0 - fam.r), 1, -1))
+    assert fam.symbol_of(x[:, None]).tolist() == want.tolist()
 
 
 def test_diaz_viana_construction_grid():

@@ -9,15 +9,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def names_used(path):
-    """Names, attributes and import aliases that a source file mentions."""
+    """Names and attributes that a source file reads.
+
+    Only loads count: a name that a file merely defines, assigns or
+    imports is not a use.
+    """
     used = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             used.add(node.attr)
-        elif isinstance(node, ast.alias):
-            used.add(node.name)
     return used
 
 

@@ -227,6 +227,18 @@ def test_dim_negative_mu_flagged_no_hole(tmp_path):
     assert abs(float(cells[3]) - 2.0) < 0.03  # full torus survives
 
 
+@pytest.mark.parametrize("mu, no_hole", [(0.1, False), (0.0, True)])
+def test_dim_hopf3d_flags_no_hole_only_without_a_trap(tmp_path, mu, no_hole):
+    # the 3-D model has no mu_f; its absorber is the cylinder trap
+    cfg = _dim_cfg(tmp_path, family="hopf3d", mu_values=(mu,), grid_n=32,
+                   horizon=20, k_min=2, k_max=5)
+    assert cmd_dim(cfg, cache=False) == 0
+    row = (tmp_path / "out" / "dim.csv").read_text().splitlines()[-1].split(",")
+    flags = row[9].split("|")
+    assert "coarse" in flags
+    assert ("no-hole" in flags) is no_hole
+
+
 def test_dim_rejected_mu_is_an_error_row(tmp_path):
     # the family builds at the probe mu = 0.05, so only the bad row fails
     cfg = _dim_cfg(tmp_path, mu_values=(0.1, 1.5))
