@@ -156,8 +156,9 @@ def measure_slow_fractions(system: MapWithHoles, n_values, threshold=None, *,
 
     def visit(t, rows, pos):
         hole = system.in_hole(pos)
-        live = rows[~hole]
-        acc[live] += system.log_least_stretch(pos[~hole])
+        stay = np.flatnonzero(~hole)
+        live = rows[stay]
+        acc[live] += system.log_least_stretch(pos.take(stay, axis=0))
         slow[t + 1] = np.count_nonzero(acc[live] <= (t + 1) * threshold + SNAP)
         return hole
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from .families import (DiazVianaFamily, HopfModel2D, HopfModel3D, LinearToy2D,
                        TriplingToy)
+from .geometry import MAX_GRID_SIDE
 
 
 class ConfigError(ValueError):
@@ -233,8 +234,12 @@ class SweepConfig(View):
         family, _ = read_family(cfg)
         dim3, trip = family == "hopf3d", family == "tripling"
         base = read(cfg, "eps_base", int, 3 if trip else 2, lo=2)
-        k_lo = read(cfg, "k_min", int, 1 if trip else 3)
+        k_lo = read(cfg, "k_min", int, 1 if trip else 3, lo=0)
         k_hi = read(cfg, "k_max", int, 8 if trip else (7 if dim3 else 10))
+        # k_hi > 62 exceeds the side at every base >= 2, without forming the power
+        if k_hi > 62 or base ** k_hi > MAX_GRID_SIDE:
+            raise ConfigError(f"k_max = {k_hi}: eps_base ** k_max = {base}**{k_hi} exceeds "
+                              "2**62, past which box indices overflow int64")
         if k_hi - k_lo < 2 or base ** (k_hi - k_lo) < 8:
             raise ConfigError(f"box ladder k_min = {k_lo} .. k_max = {k_hi} (base {base}) "
                               "needs at least 3 scales spanning a factor of at least 8")

@@ -237,8 +237,9 @@ class HopfModel2D(_TenBranchTorus):
 
     def step(self, points):
         p, w = self._w(points)
-        inside = w < self.delta0
-        p[inside] *= (self.profile.value(w[inside]) / self.sigma)[:, None]
+        inside = np.flatnonzero(w < self.delta0)
+        scale = self.profile.value(w[inside]) / self.sigma
+        p[inside] = p.take(inside, axis=0) * scale[:, None]
         return wrap(p @ _A2.T)
 
     def deriv_inverse_norm(self, points):
@@ -285,9 +286,9 @@ class HopfModel2D(_TenBranchTorus):
         n, k, _ = cand.shape
         flat = cand.reshape(n * k, 2)
         dist = np.sqrt(_radius2(flat))
-        need = dist < np.sqrt(self.delta0)
-        if need.any():
-            flat[need] = self._radial_preimage(flat[need], dist[need])
+        need = np.flatnonzero(dist < np.sqrt(self.delta0))
+        if len(need):
+            flat[need] = self._radial_preimage(flat.take(need, axis=0), dist[need])
         return _select_matching_preimage(self, symbol, flat.reshape(n, k, 2))
 
     def _radial_preimage(self, p, dist):
@@ -387,10 +388,10 @@ class HopfModel3D:
 
     def step(self, points):
         c, w, z = self._coords(points)
-        inside = (w < self.delta0) & (np.abs(z) < self.delta0)
-        if inside.any():
+        inside = np.flatnonzero((w < self.delta0) & (np.abs(z) < self.delta0))
+        if len(inside):
             val, _, _ = profile_3d(self.profile, w[inside], z[inside])
-            c[inside, :2] *= (val / self.sigma)[:, None]
+            c[inside, :2] = c.take(inside, axis=0)[:, :2] * (val / self.sigma)[:, None]
         return wrap(c @ self.PM.T)
 
     def jacobian_matrices(self, points):

@@ -28,6 +28,34 @@ import numpy as np
 # float rounding and corrupt otherwise exact counts.
 SNAP = 1e-9
 
+# Largest grid side n = base**k: n times any coordinate in [0, 1] (wrap
+# can return 1.0) fits int64 before box_indices clips it; base 2 reaches
+# it at k = 62.
+MAX_GRID_SIDE = 2 ** 62
+
+# _T975[df - 1] is the 0.975 quantile of Student's t with df degrees of
+# freedom, df = 1..61, as the reprs of stdtrit(df, 0.975) (the tests
+# check them bit for bit): the confidence factor of a fit over 3..63
+# scales, which covers every ladder box_indices accepts (base 2, k = 0..62).
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078, 2.7764451051977934,
+    2.5705818356363146, 2.4469118511449786, 2.364624251592784, 2.306004135204166,
+    2.262157162798205, 2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776, 2.1199052992212546,
+    2.1098155778333156, 2.1009220402410382, 2.0930240544083087, 2.085963447265864,
+    2.0796138447276795, 2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846, 2.0484071417952454,
+    2.045229642132703, 2.0422724563012378, 2.039513446396408, 2.0369333434601016,
+    2.0345152974493383, 2.0322445093177186, 2.030107928250343, 2.0280940009804502,
+    2.0261924630291093, 2.0243941639119694, 2.022690920036761, 2.021075390306273,
+    2.019540970441376, 2.0180817028184443, 2.016692199227824, 2.0153675744437636,
+    2.014103388880846, 2.012895598919429, 2.0117405137297655, 2.010634757624232,
+    2.0095752371292392, 2.008559112100761, 2.007583770315836, 2.006646805061688,
+    2.0057459953178687, 2.0048792881880564, 2.0040447832891455, 2.003240718847872,
+    2.002465459291007, 2.0017174841452356, 2.000995378088267, 2.0002978220142604,
+    1.999623584994939,
+)
+
 
 def wrap(points: np.ndarray) -> np.ndarray:
     """Canonical torus representative in [0,1]^d.
@@ -89,8 +117,14 @@ def scale_to_base(eps: float) -> tuple[int, int]:
 
 
 def box_indices(points: np.ndarray, k: int, base: int = 2) -> np.ndarray:
-    """Integer grid coordinates of each point at resolution base**-k."""
+    """Integer grid coordinates of each point at resolution base**-k.
+
+    Raises ValueError when base**k exceeds ``MAX_GRID_SIDE``, where the
+    int64 indices would overflow.
+    """
     n = base ** k
+    if n > MAX_GRID_SIDE:
+        raise ValueError(f"grid side {base}**{k} exceeds 2**62: box indices overflow int64")
     pts = np.atleast_2d(wrap(points))
     idx = np.floor(pts * n + SNAP).astype(np.int64)
     return np.clip(idx, 0, n - 1)
@@ -124,14 +158,17 @@ class DimensionEstimate:
 def box_dimension(pairs: Sequence[tuple], ambient_dim: int) -> DimensionEstimate:
     """Least-squares dimension estimate from (eps, count) pairs.
 
-    Requires at least 3 scales spanning a factor of 8 in eps, with counts
-    nonincreasing in eps.  A degenerate ladder (all counts equal) is
-    reported with a ``flat-slope`` warning rather than silently returning
-    zero; a slope falling outside [0, ambient_dim] is clamped and flagged.
+    Requires 3 to 63 scales (the extent of the t-quantile table) spanning
+    a factor of 8 in eps, with counts nonincreasing in eps.  A degenerate
+    ladder (all counts equal) is reported with a ``flat-slope`` warning
+    rather than silently returning zero; a slope falling outside
+    [0, ambient_dim] is clamped and flagged.
     """
     pts = sorted(((float(e), int(c)) for e, c in pairs), key=lambda p: -p[0])
     if len(pts) < 3:
         raise ValueError("need at least 3 scales")
+    if len(pts) > len(_T975) + 2:
+        raise ValueError(f"at most {len(_T975) + 2} scales, got {len(pts)}")
     if pts[0][0] / pts[-1][0] < 8 * (1 - 1e-9):
         raise ValueError("scales must span at least a factor of 8")
     counts = [c for _, c in pts]
@@ -145,9 +182,7 @@ def box_dimension(pairs: Sequence[tuple], ambient_dim: int) -> DimensionEstimate
         warnings.append("flat-slope")
         slope_raw, resid, ci = 0.0, 0.0, 0.0
     else:
-        # scipy's linregress formulas, and the t quantile its t.ppf calls,
-        # imported here so that only a fit pays for the scipy import
-        from scipy.special import stdtrit
+        # linregress's formulas for slope, r and standard error
         x = np.array([-np.log(e) for e, _ in pts])
         y = np.array([np.log(c) for _, c in pts])
         df = len(pts) - 2
@@ -156,7 +191,7 @@ def box_dimension(pairs: Sequence[tuple], ambient_dim: int) -> DimensionEstimate
         slope_raw = float(ssxym / ssxm)
         intercept = np.mean(y) - slope_raw * np.mean(x)
         resid = float(np.sqrt(np.mean((y - (intercept + slope_raw * x)) ** 2)))
-        ci = float(stdtrit(df, 0.975)) * float(np.sqrt((1 - r ** 2) * ssym / ssxm / df))
+        ci = _T975[df - 1] * float(np.sqrt((1 - r ** 2) * ssym / ssxm / df))
     slope = min(max(slope_raw, 0.0), float(ambient_dim))
     if slope != slope_raw:
         warnings.append("clamped")

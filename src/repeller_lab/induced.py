@@ -83,11 +83,12 @@ class InducedExpander:
                 done[:] = True
             else:
                 live = np.flatnonzero(~done)
-                sym = self.system.symbol_of(pos[live])
+                sym = self.system.symbol_of(pos.take(live, axis=0))
                 done[live[sym < 0]] = True
                 acc[rows[~done]] += floors[sym[sym >= 0]]
                 if on_step is not None:
-                    on_step(rows[~done], pos[~done])
+                    go = np.flatnonzero(~done)
+                    on_step(rows[go], pos.take(go, axis=0))
             tau[rows[done]] = t
             return done
 

@@ -30,9 +30,9 @@ from .badsets import a2_report
 from .bounds import (count_patterns, delta_bound, depth_threshold,
                      entropy_bound, lemma_cell_bound, lt_constraints,
                      prefactor_bound, stirling_binomial_bound)
-from .config import (A2Config, BoundsConfig, ConfigError, InducedConfig,
-                     SweepConfig, config_hash, config_header, make_family,
-                     read_family)
+from .config import (KNOWN_FAMILIES, A2Config, BoundsConfig, ConfigError,
+                     InducedConfig, SweepConfig, config_hash, config_header,
+                     make_family, read_family)
 from .families import survivor_grid
 from .geometry import box_dimension, counts_from_survivors, grid_centers
 from .holes import first_entry
@@ -137,7 +137,7 @@ def cache_put(cdir: Path | None, key: str, payload):
 
 # Part of every dim cache key: raise it whenever a dim row's computation
 # changes, so a shared REPELLER_LAB_CACHE never serves rows of older code.
-DIM_CACHE_VERSION = 3
+DIM_CACHE_VERSION = 4
 
 _DIM_COLUMNS = ("mu", "mu_f", "rho_inv", "dimension", "ci", "slope_raw",
                 "residual", "survivors", "badset_ref", "flags", "config_hash")
@@ -158,14 +158,14 @@ def _dim_row(sc: SweepConfig, mu: float, chash: str) -> dict:
         row["flags"] = f"error:{exc}"
         return row
     flags = []
-    mu_f = float(getattr(model, "mu_f", 0.0))
+    mu_f = float(getattr(model, "mu_f", float("nan")))  # HopfModel3D has no hole volume
     rho = float(getattr(model, "rho_inv", float("nan")))
     trapped = hasattr(model, "default_trap")
     # the orbits' absorber is the trap where the model has one, else the hole
     no_absorber = model.default_trap().empty if trapped else model.hole is None
     if no_absorber:
         flags.append("no-hole")
-    if mu_f > 0:
+    if KNOWN_FAMILIES[sc.family].c0 and mu_f > 0:  # the families a2 reports on
         row["badset_ref"] = "a2.csv"
     if model.d == 3:
         flags.append("coarse")

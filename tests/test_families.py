@@ -3,19 +3,21 @@
 import numpy as np
 import pytest
 
-from repeller_lab.geometry import centered, lebesgue_estimate, wrap
+from repeller_lab.geometry import centered, grid_centers, lebesgue_estimate, wrap
 from repeller_lab.families import (
     DiazVianaFamily,
     HopfModel2D,
     HopfModel3D,
     LinearToy2D,
     TriplingToy,
+    _select_matching_preimage,
     disk_trap,
     escape_time,
     invariant_circle_radius,
     survivor_grid,
     verify_trap,
 )
+from repeller_lab.holes import first_entry
 from repeller_lab.profiles import profile_3d
 
 A2 = np.array([[3.0, -1.0], [1.0, 3.0]])
@@ -214,6 +216,65 @@ def test_planar_step_matches_modulo_and_sum_forms_bitwise():
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+def _mask_step(model, points):
+    """The planar step written with boolean masks on the (N, 2) rows."""
+    p, w = model._w(points)
+    inside = w < model.delta0
+    p[inside] *= (model.profile.value(w[inside]) / model.sigma)[:, None]
+    return wrap(p @ A2.T)
+
+
+def _disk_edge_points(model):
+    """Points whose squared radius is delta0 or one ulp either side of it."""
+    theta = np.linspace(0.0, 2 * np.pi, 4000, endpoint=False)
+    rim = np.sqrt(model.delta0) * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    nudged = [rim + np.array([j * 2.0 ** -56, 0.0]) for j in range(-40, 41)]
+    pts = wrap(np.concatenate(nudged))
+    w = model._w(pts)[1]
+    d0 = model.delta0
+    edges = [w == d0, w == np.nextafter(d0, 0.0), w == np.nextafter(d0, 1.0)]
+    assert all(e.any() for e in edges)
+    return pts[edges[0] | edges[1] | edges[2]]
+
+
+def test_planar_step_matches_boolean_mask_form_bitwise():
+    rng = np.random.default_rng(41)
+    for mu in (0.01, 0.1):
+        model = HopfModel2D(mu)
+        for q in (grid_centers(2, 512), rng.random((200_000, 2)), _disk_edge_points(model)):
+            got, want = model.step(q), _mask_step(model, q)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_first_entry_matches_boolean_mask_loop_on_the_dim_grid():
+    # the dim benchmark's grid (256^2 centres, 100 steps, default trap),
+    # against the orbit loop written with boolean masks
+    def mask_first_entry(step, points, steps, absorbed):
+        survives = np.ones(len(points), dtype=bool)
+        entry = np.full(len(points), steps, dtype=np.int64)
+        rows, pos = np.arange(len(points)), points
+        for t in range(steps + 1):
+            hit = absorbed(pos)
+            survives[rows[hit]] = False
+            entry[rows[hit]] = t
+            rows, pos = rows[~hit], pos[~hit]
+            if t == steps or len(rows) == 0:
+                break
+            pos = step(pos)
+        return survives, entry
+
+    pts = grid_centers(2, 256)
+    for mu in (0.1, 0.01):
+        model = HopfModel2D(mu)
+        trap = model.default_trap().contains
+        survives, entry = first_entry(model.step, pts, 100, trap)
+        want_survives, want_entry = mask_first_entry(
+            lambda q: _mask_step(model, q), pts, 100, trap)
+        assert np.array_equal(survives, want_survives)
+        assert np.array_equal(entry, want_entry)
+        assert 0 < survives.sum() < len(pts)
+
+
 def test_spatial_step_matches_modulo_form_bitwise():
     def reference_step(model, points):
         c = ((points + 0.5) % 1.0 - 0.5) @ model.P_inv.T
@@ -261,6 +322,24 @@ def test_inverse_branches_roundtrip_and_hole_has_no_branch_zero_preimage():
     # exactly one preimage per branch except where it falls into the hole
     assert 10 * len(pts) - defined == pytest.approx(
         10 * len(pts) * model.mu_f, abs=0.03 * 10 * len(pts))
+
+
+def test_inverse_branches_match_boolean_mask_form_bitwise():
+    def mask_inverse_branch(model, symbol, points):
+        cand = model._linear_preimages(np.atleast_2d(points))
+        n, k, _ = cand.shape
+        flat = cand.reshape(n * k, 2)
+        dist = np.sqrt(np.sum(flat * flat, axis=1))
+        need = dist < np.sqrt(model.delta0)
+        flat[need] = model._radial_preimage(flat[need], dist[need])
+        return _select_matching_preimage(model, symbol, flat.reshape(n, k, 2))
+
+    model = HopfModel2D(0.1)
+    pts = np.concatenate([np.random.default_rng(43).random((2000, 2)),
+                          wrap(0.05 * np.random.default_rng(44).standard_normal((2000, 2)))])
+    for s in range(10):
+        got, want = model.inverse_branch(s, pts), mask_inverse_branch(model, s, pts)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def finite_difference_jacobian(model, p, h=1e-7):

@@ -8,8 +8,10 @@ interval subdivision so the closed form never has to be trusted.
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import stdtrit
 
 from repeller_lab.geometry import (
+    _T975,
     SNAP,
     DimensionEstimate,
     Region,
@@ -107,6 +109,21 @@ def test_scale_recognition():
         scale_to_base(0.1)
     with pytest.raises(ValueError):
         scale_to_base(-0.5)
+
+
+def test_box_indices_stop_at_grid_side_two_to_the_62():
+    pts = grid_centers(2, 16)
+    with pytest.raises(ValueError, match="overflow int64"):
+        box_indices(pts, 63)
+    with pytest.raises(ValueError, match="overflow int64"):
+        box_indices(pts, 40, base=3)
+    idx = box_indices(np.array([[0.0, 1.0 - 2.0 ** -53]]), 62)
+    assert idx.tolist() == [[0, 2 ** 62 - 2 ** 9]]  # (1 - 2**-53) 2**62, exactly
+    # the longest base-2 ladder counts every level as a per-level pass does
+    ladder = counts_from_survivors(pts, 2, range(3, 63))
+    assert ladder == [(2.0 ** -k, len(np.unique(box_indices(pts, k), axis=0)))
+                      for k in range(3, 63)]
+    assert ladder[0] == (0.125, 64)
 
 
 def test_box_indices_snap_right_at_edges():
@@ -259,6 +276,16 @@ def test_ladder_validation():
         box_dimension([(0.5, 4), (0.25, 2), (0.0625, 8)], 1)
     with pytest.raises(ValueError, match="positive"):
         box_dimension([(0.5, 0), (0.25, 4), (0.0625, 16)], 1)
+    longest = [(2.0 ** -k, k + 1) for k in range(63)]
+    assert box_dimension(longest, 1).ci > 0
+    with pytest.raises(ValueError, match="at most 63 scales"):
+        box_dimension(longest + [(2.0 ** -63, 64)], 1)
+
+
+def test_t_table_matches_stdtrit_bitwise():
+    want = np.array([float(stdtrit(df, 0.975)) for df in range(1, 62)])
+    assert len(_T975) == 61
+    assert np.array_equal(np.array(_T975).view(np.int64), want.view(np.int64))
 
 
 # ------------------------------------------------------------- grid cover

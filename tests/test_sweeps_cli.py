@@ -237,6 +237,20 @@ def test_dim_hopf3d_flags_no_hole_only_without_a_trap(tmp_path, mu, no_hole):
     flags = row[9].split("|")
     assert "coarse" in flags
     assert ("no-hole" in flags) is no_hole
+    assert row[1] == "nan" and row[8] == ""  # no hole volume, no slow-set report
+
+
+@pytest.mark.parametrize("family, mu, ref", [("hopf2d", 0.1, "a2.csv"),
+                                             ("diaz-viana", 0.25, "a2.csv"),
+                                             ("tripling", 0.0, ""),
+                                             ("hopf2d", -0.02, "")])
+def test_dim_badset_ref_only_where_a2_reports(tmp_path, family, mu, ref):
+    ladder = {"k_min": 1, "k_max": 4} if family == "tripling" else {}
+    cfg = _dim_cfg(tmp_path, family=family, mu_values=(mu,), grid_n=64, horizon=10,
+                   **ladder)
+    assert cmd_dim(cfg, cache=False) == 0
+    row = (tmp_path / "out" / "dim.csv").read_text().splitlines()[-1].split(",")
+    assert row[8] == ref
 
 
 def test_dim_rejected_mu_is_an_error_row(tmp_path):
@@ -550,6 +564,10 @@ _BAD_VALUES = [
     ("dim", "grid_n = big", "grid_n"),
     ("dim", "mu_values = a,b", "mu_values"),
     ("dim", "family = hopf3d\nslope = -1", "hopf3d"),            # rejected at every mu
+    ("dim", "k_max = 63", "k_max"),                  # 2**63: box indices overflow int64
+    ("dim", "k_max = 64", "k_max"),
+    ("dim", "eps_base = 3\nk_max = 40", "k_max"),
+    ("dim", "k_min = -1", "k_min"),
 ]
 
 
@@ -619,6 +637,16 @@ def test_cli_rejects_short_box_ladders(tmp_path, capsys, ladder):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_accepts_the_longest_box_ladder(tmp_path):
+    # k_max = 62 is the last base-2 level whose box indices fit int64
+    cfg = tmp_path / "long.cfg"
+    cfg.write_text("family = hopf2d\nmu_values = 0.1\ngrid_n = 16\nhorizon = 5\n"
+                   "k_min = 0\nk_max = 62\nseed = 0\n")
+    assert main(["dim", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    row = (tmp_path / "out" / "dim.csv").read_text().splitlines()[-1].split(",")
+    assert float(row[3]) > 0 and "error" not in row[9]
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -648,8 +676,8 @@ def test_sweep_all_runs_everything(tmp_path):
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
-    # only the dimension fit imports scipy, and then only scipy.special;
-    # a fresh interpreter is the one place sys.modules starts clean
+    # no driver imports scipy: the dimension fit reads its t quantile from a
+    # table; a fresh interpreter is the one place sys.modules starts clean
     script = textwrap.dedent("""
         import sys
         import repeller_lab, repeller_lab.cli
@@ -661,12 +689,10 @@ def test_scipy_stays_off_the_import_path(tmp_path):
         out = sys.argv[1]
         for argv in (["bounds", "--config", out + "/bounds.cfg"],
                      ["a2", "--config", out + "/a2.cfg"],
-                     ["induced", "--config", out + "/induced.cfg"]):
+                     ["induced", "--config", out + "/induced.cfg"],
+                     ["dim", "--config", out + "/dim.cfg", "--cache", "off"]):
             assert repeller_lab.cli.main(argv + ["--out", out]) == 0, argv
             assert not scipy_loaded(), (argv, scipy_loaded())
-        assert repeller_lab.cli.main(["dim", "--config", out + "/dim.cfg",
-                                      "--out", out, "--cache", "off"]) == 0
-        assert "scipy.special" in sys.modules and "scipy.stats" not in sys.modules
         """)
     configs = {
         "bounds": "".join(f"{k} = {v}\n" for k, v in _SMALL_BOUNDS.items()),
