@@ -19,9 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from math import comb, exp, log
-
-import numpy as np
+from math import ceil, comb, exp, log
 
 __all__ = [
     "BoundCheck",
@@ -37,12 +35,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BoundCheck:
     """One verified inequality: lhs <= rhs (or == for identities).
 
     lhs and rhs are exact ints for integer counts (``count_patterns``) and
-    floats otherwise; the ints may lie far beyond float range.
+    floats otherwise; the ints may lie far beyond float range.  Slotted
+    and not frozen, because the bound suite makes one per cell and a
+    frozen dataclass's __init__ is about three times slower; nothing assigns
+    to a check once it is made.
     """
 
     name: str
@@ -217,7 +218,7 @@ def depth_threshold(mu_f: float, mu: float, n_max: int = 200_000) -> int | None:
     """
     if mu_f <= 0:
         raise ValueError("hole volume must be positive")
-    start = max(1, int(np.ceil(delta_peak(mu))))
+    start = max(1, ceil(delta_peak(mu)))
     for n in range(start, n_max + 1):
         if delta_bound(n, mu) < mu_f:
             return n

@@ -54,30 +54,35 @@ def _fmt_cell(value) -> str:
     return str(value).replace(",", ";")
 
 
-def _write_csv(path: Path, header_lines, columns, rows):
-    """Write the commented header, the column line and one line per row.
+def _csv_line(row: dict, columns) -> str:
+    """One CSV data line (newline included) of ``row``'s ``columns``.
 
     Cells of the common exact types are formatted inline, as _fmt_cell
     would format them; any other type (bool, numpy scalars, subclasses)
     goes through _fmt_cell itself.
     """
+    cells = []
+    for value in map(row.get, columns):
+        kind = type(value)
+        if kind is float or kind is int:
+            cells.append(repr(value))
+        elif kind is str:
+            cells.append(value.replace(",", ";"))
+        elif value is None:
+            cells.append("")
+        else:
+            cells.append(_fmt_cell(value))
+    return ",".join(cells) + "\n"
+
+
+def _write_csv(path: Path, header_lines, columns, lines):
+    """Write the commented header, the column line and then each data line
+    of the iterable ``lines`` as it arrives."""
     with path.open("w") as fh:
         for ln in header_lines:
             fh.write(f"# {ln}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            cells = []
-            for value in map(row.get, columns):
-                kind = type(value)
-                if kind is float or kind is int:
-                    cells.append(repr(value))
-                elif kind is str:
-                    cells.append(value.replace(",", ";"))
-                elif value is None:
-                    cells.append("")
-                else:
-                    cells.append(_fmt_cell(value))
-            fh.write(",".join(cells) + "\n")
+        fh.writelines(lines)
 
 
 def _mu_tag(mu: float) -> str:
@@ -219,7 +224,8 @@ def cmd_dim(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
             cache_put(cdir, keys[i], row)
             run.note(f"mu={mus[i]:g}: computed in {dt:.2f}s")
 
-    _write_csv(run.dir / "dim.csv", header, _DIM_COLUMNS, rows)
+    _write_csv(run.dir / "dim.csv", header, _DIM_COLUMNS,
+               (_csv_line(row, _DIM_COLUMNS) for row in rows))
 
     plot = SvgPlot(title=f"box dimension vs mu ({sc.family})",
                    xlabel="mu", ylabel="box dimension")
@@ -240,97 +246,151 @@ def cmd_dim(cfg: dict, *, jobs: int = 1, cache: bool = True) -> int:
 _BOUND_COLUMNS = ("check", "n", "l", "t", "mu", "exact", "bound", "pass")
 
 
-def _bound_row(check, bc, n=None, l=None, t=None, mu=None, *, probe=False) -> dict:
-    """One bounds.csv row; a sharpness ``probe`` is meant to fail (xfail)."""
-    verdict = "FAIL" if bc.ok == probe else ("xfail" if probe else "pass")
-    return {"check": check, "n": n, "l": l, "t": t, "mu": mu,
-            "exact": bc.lhs, "bound": bc.rhs, "pass": verdict}
+class _BoundTally:
+    """What bounds.json keeps of the cells that go past: their count, the
+    number of failures, the first 100 failures and every expected failure
+    (a sharpness probe that fails by design), as row dicts."""
+
+    def __init__(self):
+        self.cells = self.failures = 0
+        self.failed: list[dict] = []
+        self.expected: list[dict] = []
+
+    def flag(self, verdict: str, *cells) -> str:
+        """Keep a non-passing row (its _BOUND_COLUMNS before ``pass``) and
+        return its verdict."""
+        if verdict == "FAIL":
+            self.failures += 1
+            if len(self.failed) == 100:
+                return verdict
+        row = dict(zip(_BOUND_COLUMNS, (*cells, verdict)))
+        (self.failed if verdict == "FAIL" else self.expected).append(row)
+        return verdict
 
 
-def cmd_bounds(cfg: dict) -> int:
-    """Exact combinatorial bound suite over configurable grids.
+def _bound_lines(suite: BoundsConfig, run: _Run, tally: _BoundTally):
+    """bounds.csv's data lines in order, each made as its cell is checked.
 
-    Emits the full verification matrix as CSV, a JSON summary with
-    failure lists, and one PASS/FAIL line on stdout.  Expected-failure
-    probes (sharpness checks run with enforcement off) do not affect the
-    exit code; unexpected failures exit 1.
+    Every cell has fixed types (check str; n, l, t int or None; mu float
+    or None; exact, bound int or float), so one f-string per line gives
+    what _csv_line gives: repr of each number and "" for None.  Cells that
+    do not pass go to ``tally``; each sub-suite leaves a note with its
+    cells and seconds in ``run``'s log.
     """
-    suite = BoundsConfig(cfg)
-    run = _Run(suite.out, "bounds")
-    rows: list[dict] = []
+    t0, cells = time.time(), 0
+
+    def note(label: str):
+        nonlocal t0, cells
+        tally.cells += cells
+        run.note(f"{label}: {cells} cells in {time.time() - t0:.2f}s")
+        t0, cells = time.time(), 0
+
     cp_n, m = suite.grids["cp_n_max"], suite.alphabet_m
     for n in range(4, cp_n + 1):
         for l in range(1, n):
             for t in range(1, min(l, n - l) + 1):
-                rows.append(_bound_row("count_patterns", count_patterns(n, l, t, m),
-                                       n=n, l=l, t=t))
-    run.note(f"count_patterns grid n<={cp_n}: {len(rows)} cells")
+                bc = count_patterns(n, l, t, m)
+                verdict = "pass" if bc.ok else tally.flag(
+                    "FAIL", "count_patterns", n, l, t, None, bc.lhs, bc.rhs)
+                cells += 1
+                yield f"count_patterns,{n},{l},{t},,{bc.lhs!r},{bc.rhs!r},{verdict}\n"
+    note(f"count_patterns grid n<={cp_n}")
 
     st_l = suite.grids["st_l_max"]
-    before = len(rows)
     for l in range(2, st_l + 1):
         for t in range(1, (l + 1) // 2):
-            rows.append(_bound_row("stirling", stirling_binomial_bound(l, t), l=l, t=t))
-            rows.append(_bound_row("prefactor", prefactor_bound(l, t), l=l, t=t))
-    run.note(f"stirling+prefactor grid l<={st_l}: {len(rows) - before} cells")
+            bc = stirling_binomial_bound(l, t)
+            verdict = "pass" if bc.ok else tally.flag(
+                "FAIL", "stirling", None, l, t, None, bc.lhs, bc.rhs)
+            yield f"stirling,,{l},{t},,{bc.lhs!r},{bc.rhs!r},{verdict}\n"
+            bc = prefactor_bound(l, t)
+            verdict = "pass" if bc.ok else tally.flag(
+                "FAIL", "prefactor", None, l, t, None, bc.lhs, bc.rhs)
+            cells += 2
+            yield f"prefactor,,{l},{t},,{bc.lhs!r},{bc.rhs!r},{verdict}\n"
+    note(f"stirling+prefactor grid l<={st_l}")
 
     en_l, tau = suite.grids["en_l_max"], suite.tau
-    before = len(rows)
     kappa0 = math.exp(-1.0 / tau)
     for l in range(1, en_l + 1):
         for t in range(0, int(l * kappa0) + 1):
-            rows.append(_bound_row("entropy", entropy_bound(l, t, tau), l=l, t=t))
-    run.note(f"entropy grid l<={en_l}: {len(rows) - before} cells")
-
+            bc = entropy_bound(l, t, tau)
+            verdict = "pass" if bc.ok else tally.flag(
+                "FAIL", "entropy", None, l, t, None, bc.lhs, bc.rhs)
+            cells += 1
+            yield f"entropy,,{l},{t},,{bc.lhs!r},{bc.rhs!r},{verdict}\n"
     # sharpness probe: with a smaller slack factor the inequality genuinely
     # breaks above the admissible density, so this cell is expected to fail
-    rows.append(_bound_row("entropy-probe", entropy_bound(400, 80, 0.5, enforce=False),
-                           l=400, t=80, probe=True))
+    bc = entropy_bound(400, 80, 0.5, enforce=False)
+    verdict = tally.flag("FAIL" if bc.ok else "xfail",
+                         "entropy-probe", None, 400, 80, None, bc.lhs, bc.rhs)
+    cells += 1
+    yield f"entropy-probe,,400,80,,{bc.lhs!r},{bc.rhs!r},{verdict}\n"
+    note(f"entropy grid l<={en_l} and its probe")
 
     lemma_l = suite.grids["lemma_l_max"]
-    before = len(rows)
     for mu in suite.lemma_mu_values:
         cap = mu / (-4.0 * math.log(mu))
         for l in range(1, lemma_l + 1):
             for t in range(1, int(cap * l) + 1):
-                rows.append(_bound_row("lemma-cell", lemma_cell_bound(l, t, mu),
-                                       l=l, t=t, mu=mu))
-    run.note(f"lemma grid l<={lemma_l}: {len(rows) - before} cells")
+                bc = lemma_cell_bound(l, t, mu)
+                verdict = "pass" if bc.ok else tally.flag(
+                    "FAIL", "lemma-cell", None, l, t, mu, bc.lhs, bc.rhs)
+                cells += 1
+                yield f"lemma-cell,,{l},{t},{mu!r},{bc.lhs!r},{bc.rhs!r},{verdict}\n"
+    note(f"lemma grid l<={lemma_l}")
 
     for mu in (0.02, 0.05, 0.1):
         # largest admissible cell at l = 1000 under both letter caps
         l = 1000
         n = l + max(1, int(mu / (8.0 * math.log(suite.sigma)) * l))
         t = max(1, int(mu / (-4.0 * math.log(mu)) * l))
-        outside, blocks = lt_constraints(n, l, t, mu, suite.sigma)
-        rows.append(_bound_row("lt-outside", outside, n=n, l=l, t=t, mu=mu))
-        rows.append(_bound_row("lt-blocks", blocks, n=n, l=l, t=t, mu=mu))
+        for check, bc in zip(("lt-outside", "lt-blocks"),
+                             lt_constraints(n, l, t, mu, suite.sigma)):
+            verdict = "pass" if bc.ok else tally.flag(
+                "FAIL", check, n, l, t, mu, bc.lhs, bc.rhs)
+            cells += 1
+            yield f"{check},{n},{l},{t},{mu!r},{bc.lhs!r},{bc.rhs!r},{verdict}\n"
         peak = int(math.ceil(8.0 / mu))
         for n in range(peak, peak + 10 * peak, peak):
             a, b = delta_bound(n + 1, mu), delta_bound(n, mu)
-            rows.append({"check": "delta-decay", "n": n, "l": None, "t": None,
-                         "mu": mu, "exact": a, "bound": b,
-                         "pass": "pass" if a <= b else "FAIL"})
+            verdict = "pass" if a <= b else tally.flag(
+                "FAIL", "delta-decay", n, None, None, mu, a, b)
+            cells += 1
+            yield f"delta-decay,{n},,,{mu!r},{a!r},{b!r},{verdict}\n"
+    note("lt-constraint and delta-decay chain")
 
-    failures = [r for r in rows if r["pass"] == "FAIL"]
-    expected = [r for r in rows if r["pass"] == "xfail"]
+
+def cmd_bounds(cfg: dict) -> int:
+    """Exact combinatorial bound suite over configurable grids.
+
+    Emits the full verification matrix as CSV, written line by line as the
+    cells are checked, a JSON summary with failure lists, and one
+    PASS/FAIL line on stdout.  Expected-failure probes (sharpness checks
+    run with enforcement off) do not affect the exit code; unexpected
+    failures exit 1.
+    """
+    suite = BoundsConfig(cfg)
+    run = _Run(suite.out, "bounds")
     resolved = {"out": suite.out, **suite.raw}  # the mapping as given
-    _write_csv(run.dir / "bounds.csv", config_header("bounds", resolved), _BOUND_COLUMNS, rows)
+    tally = _BoundTally()
+    _write_csv(run.dir / "bounds.csv", config_header("bounds", resolved), _BOUND_COLUMNS,
+               _bound_lines(suite, run, tally))
     summary = {
         "config": {k: str(v) for k, v in sorted(resolved.items())},
         "config_hash": config_hash(resolved),
-        "total_cells": len(rows),
-        "failed": [{k: r[k] for k in _BOUND_COLUMNS} for r in failures[:100]],
-        "expected_failures": [{k: r[k] for k in _BOUND_COLUMNS} for r in expected],
+        "total_cells": tally.cells,
+        "failed": tally.failed,
+        "expected_failures": tally.expected,
         "skipped": suite.skipped,
-        "passed": not failures,
+        "passed": not tally.failures,
     }
     (run.dir / "bounds.json").write_text(json.dumps(summary, sort_keys=True, indent=1))
-    verdict = "PASS" if not failures else "FAIL"
-    print(f"BOUNDS: {verdict} ({len(rows)} cells, {len(failures)} failures, "
-          f"{len(expected)} expected failures, {len(suite.skipped)} skipped grids)")
+    verdict = "PASS" if not tally.failures else "FAIL"
+    print(f"BOUNDS: {verdict} ({tally.cells} cells, {tally.failures} failures, "
+          f"{len(tally.expected)} expected failures, {len(suite.skipped)} skipped grids)")
     run.flush()
-    return 0 if not failures else 1
+    return 0 if not tally.failures else 1
 
 
 # ------------------------------------------------------------- (A2) sweeps
@@ -378,7 +438,8 @@ def cmd_a2(cfg: dict) -> int:
                          open_marker=True)
         (run.dir / f"a2-mu{_mu_tag(mu)}.svg").write_text(plot.render())
 
-    _write_csv(run.dir / "a2.csv", config_header("a2", resolved), _A2_COLUMNS, rows)
+    _write_csv(run.dir / "a2.csv", config_header("a2", resolved), _A2_COLUMNS,
+               (_csv_line(row, _A2_COLUMNS) for row in rows))
     run.flush()
     return 1 if any(r["flag"] == "fail" for r in rows) else 0
 

@@ -258,6 +258,29 @@ def test_depth_threshold_matches_planar_hole():
         depth_threshold(0.0, 0.1)
 
 
+def _depth_threshold_numpy_form(mu_f, mu, n_max=200_000):
+    """depth_threshold as it was written with numpy's ceil."""
+    for n in range(max(1, int(np.ceil(delta_peak(mu)))), n_max + 1):
+        if delta_bound(n, mu) < mu_f:
+            return n
+    return None
+
+
+def test_depth_threshold_matches_numpy_ceil_form():
+    # 8/mu is an integer at mu = 0.5, 0.25, 0.125 and a near miss at 0.1
+    mus = (0.005, 0.01, 0.02, 0.05, 0.1, 0.125, 0.25, 0.3, 0.5, 0.9)
+    for mu_f, mu in product((0.5, 1e-2, 1e-4, 1e-8, 1e-14), mus):
+        assert depth_threshold(mu_f, mu) == _depth_threshold_numpy_form(mu_f, mu), (mu_f, mu)
+    assert depth_threshold(1e-300, 0.1, n_max=1000) is _depth_threshold_numpy_form(
+        1e-300, 0.1, n_max=1000) is None
+
+
+def test_bound_check_is_slotted_and_compares_by_value():
+    chk = count_patterns(10, 4, 2, 9)
+    assert "__slots__" in vars(bounds.BoundCheck) and not hasattr(chk, "__dict__")
+    assert chk == count_patterns(10, 4, 2, 9) and chk != count_patterns(10, 4, 3, 9)
+
+
 # ------------------------------------------------------- claimed cell bound
 
 def test_lemma_cell_bound_holds_at_small_parameters():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -16,10 +17,10 @@ from repeller_lab.config import (KNOWN_FAMILIES, ConfigError, SweepConfig,
                                  config_hash, parse_config, read)
 from repeller_lab.families import HopfModel2D
 from repeller_lab.svgplot import SvgPlot
-from repeller_lab.sweeps import (DIM_CACHE_VERSION, _fmt_cell, _write_csv,
-                                 cache_dir, cache_get, cache_put, cmd_a2,
-                                 cmd_bounds, cmd_dim, cmd_induced, make_family,
-                                 sweep_all)
+from repeller_lab.sweeps import (_BOUND_COLUMNS, DIM_CACHE_VERSION, _csv_line,
+                                 _fmt_cell, _write_csv, cache_dir, cache_get,
+                                 cache_put, cmd_a2, cmd_bounds, cmd_dim,
+                                 cmd_induced, make_family, sweep_all)
 
 
 # ------------------------------------------------------------------ config
@@ -400,10 +401,104 @@ def test_write_csv_formats_cells_as_fmt_cell(tmp_path):
     # numpy scalars included, must format exactly as _fmt_cell does
     values = [True, False, None, 0.1, np.float64(0.1), np.int64(3), 9 ** 400, "a,b"]
     columns = tuple("abcdefgh")
-    _write_csv(tmp_path / "x.csv", ["k = v"], columns, [dict(zip(columns, values))])
+    _write_csv(tmp_path / "x.csv", ["k = v"], columns,
+               [_csv_line(dict(zip(columns, values)), columns)])
     expected = f"# k = v\na,b,c,d,e,f,g,h\ntrue,false,,0.1,0.1,3,{9 ** 400},a;b\n"
     assert expected.splitlines()[2] == ",".join(map(_fmt_cell, values))
     assert (tmp_path / "x.csv").read_bytes() == expected.encode()
+
+
+# 4 195 cells, 158 of them failing lemma cells (l >= 369): more than the
+# 100 failures bounds.json lists, and the probe row as well
+_CAPPED_BOUNDS = {**_SMALL_BOUNDS, "lemma_l_max": 600}
+
+
+def _listed_bounds(cfg: dict):
+    """bounds.csv's rows and the bytes of bounds.csv and bounds.json, made the
+    way cmd_bounds once made them: every row dict in one list, then each
+    cell through _fmt_cell."""
+    from repeller_lab import bounds as b
+    from repeller_lab.config import BoundsConfig, config_header
+
+    suite, rows = BoundsConfig(cfg), []
+
+    def row(check, bc, n=None, l=None, t=None, mu=None, probe=False):
+        verdict = "FAIL" if bc.ok == probe else ("xfail" if probe else "pass")
+        rows.append(dict(zip(_BOUND_COLUMNS, (check, n, l, t, mu, bc.lhs, bc.rhs, verdict))))
+
+    for n in range(4, suite.grids["cp_n_max"] + 1):
+        for l in range(1, n):
+            for t in range(1, min(l, n - l) + 1):
+                row("count_patterns", b.count_patterns(n, l, t, suite.alphabet_m), n, l, t)
+    for l in range(2, suite.grids["st_l_max"] + 1):
+        for t in range(1, (l + 1) // 2):
+            row("stirling", b.stirling_binomial_bound(l, t), l=l, t=t)
+            row("prefactor", b.prefactor_bound(l, t), l=l, t=t)
+    for l in range(1, suite.grids["en_l_max"] + 1):
+        for t in range(0, int(l * np.exp(-1.0 / suite.tau)) + 1):
+            row("entropy", b.entropy_bound(l, t, suite.tau), l=l, t=t)
+    row("entropy-probe", b.entropy_bound(400, 80, 0.5, enforce=False), l=400, t=80,
+        probe=True)
+    for mu in suite.lemma_mu_values:
+        for l in range(1, suite.grids["lemma_l_max"] + 1):
+            for t in range(1, int(mu / (-4.0 * np.log(mu)) * l) + 1):
+                row("lemma-cell", b.lemma_cell_bound(l, t, mu), l=l, t=t, mu=mu)
+    for mu in (0.02, 0.05, 0.1):
+        l = 1000
+        n = l + max(1, int(mu / (8.0 * np.log(suite.sigma)) * l))
+        t = max(1, int(mu / (-4.0 * np.log(mu)) * l))
+        outside, blocks = b.lt_constraints(n, l, t, mu, suite.sigma)
+        row("lt-outside", outside, n, l, t, mu)
+        row("lt-blocks", blocks, n, l, t, mu)
+        peak = int(np.ceil(8.0 / mu))
+        for n in range(peak, peak + 10 * peak, peak):
+            a, d = b.delta_bound(n + 1, mu), b.delta_bound(n, mu)
+            rows.append(dict(zip(_BOUND_COLUMNS, ("delta-decay", n, None, None, mu, a, d,
+                                                  "pass" if a <= d else "FAIL"))))
+
+    resolved = {"out": suite.out, **suite.raw}
+    csv = "".join(f"# {ln}\n" for ln in config_header("bounds", resolved))
+    csv += ",".join(_BOUND_COLUMNS) + "\n"
+    csv += "".join(",".join(_fmt_cell(r[k]) for k in _BOUND_COLUMNS) + "\n" for r in rows)
+    failures = [r for r in rows if r["pass"] == "FAIL"]
+    summary = {"config": {k: str(v) for k, v in sorted(resolved.items())},
+               "config_hash": config_hash(resolved), "total_cells": len(rows),
+               "failed": failures[:100],
+               "expected_failures": [r for r in rows if r["pass"] == "xfail"],
+               "skipped": suite.skipped, "passed": not failures}
+    return rows, csv.encode(), json.dumps(summary, sort_keys=True, indent=1).encode()
+
+
+def test_bounds_stream_matches_listed_rows(tmp_path, capsys):
+    # the streamed files are byte for byte those of the list-then-format path
+    cfg = {**_CAPPED_BOUNDS, "out": str(tmp_path / "b")}
+    assert cmd_bounds(cfg) == 1
+    assert "(4195 cells, 158 failures, 1 expected failures" in capsys.readouterr().out
+    rows, csv, summary = _listed_bounds(cfg)
+    assert len(rows) == 4195 and sum(r["pass"] == "FAIL" for r in rows) == 158
+    assert (tmp_path / "b" / "bounds.csv").read_bytes() == csv
+    assert (tmp_path / "b" / "bounds.json").read_bytes() == summary
+    lines = (tmp_path / "b" / "bounds.csv").read_text().splitlines(keepends=True)
+    assert lines[-len(rows):] == [_csv_line(r, _BOUND_COLUMNS) for r in rows]
+    # one log note per sub-suite, with its cells and seconds
+    notes = re.findall(r": (\d+) cells in \d+\.\d\ds$",
+                       (tmp_path / "b" / "bounds.log").read_text(), re.M)
+    assert len(notes) == 5 and sum(map(int, notes)) == len(rows)
+
+
+def test_bounds_memory_stays_flat(tmp_path):
+    # no row list: the traced peak is about 0.2 MB, while holding the
+    # 4 195 row dicts before writing them peaks at about 1.6 MB
+    import tracemalloc
+
+    cfg = {**_CAPPED_BOUNDS, "out": str(tmp_path / "b")}
+    tracemalloc.start()
+    try:
+        cmd_bounds(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000, peak
 
 
 def test_bounds_known_false_cell_exits_nonzero(tmp_path, capsys):
