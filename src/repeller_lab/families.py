@@ -500,7 +500,7 @@ def escape_time(model, points, horizon: int):
 def survivor_grid(model, grid_n: int, horizon: int):
     """Grid points whose orbits avoid the trap for ``horizon`` steps."""
     pts = grid_centers(model.d, grid_n)
-    return pts[escape_time(model, pts, horizon)[0]]
+    return pts.take(np.flatnonzero(escape_time(model, pts, horizon)[0]), axis=0)
 
 
 # =====================================================================

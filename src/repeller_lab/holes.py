@@ -6,7 +6,11 @@ the system.  ``MapWithHoles`` is the abstract interface consumed by the
 cylinder machinery below; concrete families live in ``families``.
 ``propagate`` is the one active-set orbit loop: escape times, survivor
 grids, itineraries, the slow-set Monte Carlo and the induced map all
-iterate their orbits through it.
+iterate their orbits through it.  ``first_entry``, under the escape
+times and survivor grids, steps one orbit for each group of orbits that
+meet bit for bit (dyadic grid centres do, often): exact because ``step``
+and the absorber are row-wise, checked at t = 1, 2, 4, 8, ... and no
+more after a check that finds no two orbits met.
 
 Cylinders C(a_1,...,a_n) — the sets of points sharing a branch itinerary —
 are realized two-sidedly:
@@ -61,18 +65,97 @@ def first_entry(step, points, steps: int, absorbed):
     ``survives`` flags the orbits that stay out of ``absorbed`` (a
     membership test) for ``steps`` steps; ``entry`` is the step at which
     an orbit is first found inside, or ``steps`` for survivors.
+
+    Orbits that meet bit for bit are merged.  At t = 1, 2, 4, 8, ... the
+    visit finds the active rows whose positions have the same bit pattern
+    (``_bitwise_duplicates``), keeps one of each group and retires the
+    others, each pointing at a row it coincides with; after the loop every
+    row takes the (survives, entry) at the end of its pointer chain.  The
+    first pass that merges nothing ends the passes, so inputs whose orbits
+    do not meet pay for one.  This is exact, not approximate, because
+    ``step`` and ``absorbed`` are row-wise (``MapWithHoles`` asks its
+    methods to be vectorized and pure): an output row depends only on its
+    input row, so equal rows have equal futures.  The BLAS products in the
+    2-D and 3-D models' ``step`` are row-wise on batches of two rows or
+    more, but OpenBLAS rounds a lone row's product in another order (the
+    last bit differs for one random row in ten in 2-D).  So when
+    merging leaves one active row that stands for several orbits, which
+    the unmerged loop would step as a batch, that row is stepped as a
+    batch of two copies of itself.
     """
     survives = np.ones(len(points), dtype=bool)
     entry = np.full(len(points), steps, dtype=np.int64)
+    rep = None  # row -> a row it merged into; allocated at the first merge
+    next_pass = 1
+    lone = None  # whether the last active row stands for several orbits
 
     def visit(t, rows, pos):
+        nonlocal rep, next_pass, lone
         hit = absorbed(pos)
-        survives[rows[hit]] = False
-        entry[rows[hit]] = t
+        gone = rows[hit]
+        survives[gone] = False
+        entry[gone] = t
+        if t == next_pass and t < steps:
+            dup, onto = _bitwise_duplicates(pos)
+            keep = np.flatnonzero(~hit[dup])  # a hit row's twins are hit too
+            dup, onto = dup[keep], onto[keep]
+            next_pass = 2 * t if len(dup) else -1
+            if len(dup):
+                if rep is None:
+                    rep = np.arange(len(points))
+                rep[rows[dup]] = rows[onto]
+                hit[dup] = True
+        if rep is not None and lone is None and len(hit) - np.count_nonzero(hit) == 1:
+            last = rows[np.flatnonzero(~hit)[0]]
+            lone = np.count_nonzero(_chain_ends(rep) == last) > 1
         return hit
 
-    propagate(step, points, steps, visit)
-    return survives, entry
+    def step_rows(pos):
+        if lone and len(pos) == 1:
+            return step(np.concatenate([pos, pos]))[:1]
+        return step(pos)
+
+    propagate(step_rows, points, steps, visit)
+    if rep is None:
+        return survives, entry
+    rep = _chain_ends(rep)
+    return survives[rep], entry[rep]
+
+
+def _chain_ends(rep):
+    """The last row of each row's pointer chain, by pointer jumping."""
+    while True:
+        jumped = rep[rep]
+        if np.array_equal(jumped, rep):
+            return rep
+        rep = jumped
+
+
+# odd multipliers for _bitwise_duplicates' row key, one per column
+_KEY_MULTIPLIERS = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F,
+                             0x165667B19E3779F9, 0xD6E8FEB86659FD93], dtype=np.uint64)
+
+
+def _bitwise_duplicates(pos):
+    """``(dup, onto)``: rows of ``pos`` equal bit for bit to row ``onto``.
+
+    Each row's bits hash to one uint64 key (column j times the j-th odd
+    multiplier, XORed over the columns); rows with equal adjacent keys in
+    key order are confirmed by comparing all their bits.  Each ``dup``
+    row points at its predecessor in key order, which may itself be a
+    ``dup``.  Comparing bits rather than floats keeps 0.0 and -0.0 (equal
+    as floats, not as bits) apart; a hash collision can only hide a merge.
+    """
+    bits = np.ascontiguousarray(pos).view(np.uint64)
+    key = bits[:, 0] * _KEY_MULTIPLIERS[0]
+    for j in range(1, bits.shape[1]):
+        key ^= bits[:, j] * _KEY_MULTIPLIERS[j % len(_KEY_MULTIPLIERS)]
+    order = np.argsort(key)
+    key = key[order]
+    cand = np.flatnonzero(key[1:] == key[:-1]) + 1
+    dup, onto = order[cand], order[cand - 1]
+    same = (bits.take(dup, axis=0) == bits.take(onto, axis=0)).all(axis=1)
+    return dup[same], onto[same]
 
 
 class MapWithHoles:

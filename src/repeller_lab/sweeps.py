@@ -151,7 +151,8 @@ _DIM_COLUMNS = ("mu", "mu_f", "rho_inv", "dimension", "ci", "slope_raw",
 def hole_survivors(model, grid_n: int, horizon: int) -> np.ndarray:
     """Grid points whose orbit stays out of the hole for ``horizon`` steps."""
     pts = grid_centers(model.d, grid_n)
-    return pts[first_entry(model.step, pts, horizon, model.in_hole)[0]]
+    survives = first_entry(model.step, pts, horizon, model.in_hole)[0]
+    return pts.take(np.flatnonzero(survives), axis=0)
 
 
 def _dim_row(sc: SweepConfig, mu: float, chash: str) -> dict:

@@ -246,33 +246,128 @@ def test_planar_step_matches_boolean_mask_form_bitwise():
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_first_entry_matches_boolean_mask_loop_on_the_dim_grid():
-    # the dim benchmark's grid (256^2 centres, 100 steps, default trap),
-    # against the orbit loop written with boolean masks
-    def mask_first_entry(step, points, steps, absorbed):
-        survives = np.ones(len(points), dtype=bool)
-        entry = np.full(len(points), steps, dtype=np.int64)
-        rows, pos = np.arange(len(points)), points
-        for t in range(steps + 1):
-            hit = absorbed(pos)
-            survives[rows[hit]] = False
-            entry[rows[hit]] = t
-            rows, pos = rows[~hit], pos[~hit]
-            if t == steps or len(rows) == 0:
-                break
-            pos = step(pos)
-        return survives, entry
+def _mask_first_entry(step, points, steps, absorbed):
+    """The orbit loop written with boolean masks, and no merging."""
+    survives = np.ones(len(points), dtype=bool)
+    entry = np.full(len(points), steps, dtype=np.int64)
+    rows, pos = np.arange(len(points)), points
+    for t in range(steps + 1):
+        hit = absorbed(pos)
+        survives[rows[hit]] = False
+        entry[rows[hit]] = t
+        rows, pos = rows[~hit], pos[~hit]
+        if t == steps or len(rows) == 0:
+            break
+        pos = step(pos)
+    return survives, entry
 
-    pts = grid_centers(2, 256)
-    for mu in (0.1, 0.01):
+
+def _first_entry_cases(n, horizon, step_of):
+    """(label, model, step, points, steps, absorbed) of the hopf2d grid
+    n^2 by trap and by hole; ``step_of(model)`` is the reference step."""
+    for mu in (0.005, 0.05, 0.1, 0.0, -0.05):
         model = HopfModel2D(mu)
-        trap = model.default_trap().contains
-        survives, entry = first_entry(model.step, pts, 100, trap)
-        want_survives, want_entry = mask_first_entry(
-            lambda q: _mask_step(model, q), pts, 100, trap)
-        assert np.array_equal(survives, want_survives)
-        assert np.array_equal(entry, want_entry)
-        assert 0 < survives.sum() < len(pts)
+        pts, trap = grid_centers(2, n), model.default_trap()
+        if not trap.empty:
+            yield f"hopf2d mu={mu} trap", model, step_of(model), pts, horizon, trap.contains
+        yield f"hopf2d mu={mu} hole", model, step_of(model), pts, horizon, model.in_hole
+
+
+def _check_first_entry(label, model, step, pts, horizon, absorbed):
+    survives, entry = first_entry(model.step, pts, horizon, absorbed)
+    if getattr(model, "hole", 0) is None:
+        # nothing is ever absorbed, whatever the orbits do
+        want_survives, want_entry = np.ones(len(pts), bool), np.full(len(pts), horizon)
+    else:
+        want_survives, want_entry = _mask_first_entry(step, pts, horizon, absorbed)
+    assert np.array_equal(survives, want_survives), label
+    assert np.array_equal(entry, want_entry), label
+    return survives
+
+
+def test_first_entry_matches_boolean_mask_loop_on_the_dim_grid():
+    # the dim benchmark's grid (256^2 centres, 100 steps) by trap and by
+    # hole, 3-D, 1-D and random points: orbits merged bit for bit must
+    # give the unmerged loop's (survives, entry) exactly
+    mask_step = lambda model: (lambda q: _mask_step(model, q))
+    for case in _first_entry_cases(256, 100, mask_step):
+        survives = _check_first_entry(*case)
+        if case[0] == "hopf2d mu=0.1 trap":
+            assert 0 < survives.sum() < len(survives)
+    model = HopfModel3D(0.1)
+    _check_first_entry("hopf3d 32^3 trap", model, model.step, grid_centers(3, 32), 100,
+                       model.default_trap().contains)
+    for model in (TriplingToy(), DiazVianaFamily(0.25)):
+        survives = _check_first_entry(model.label, model, model.step, grid_centers(1, 4096),
+                                      12, model.in_hole)
+        assert 0 < survives.sum() < len(survives)
+    model = HopfModel2D(0.1)
+    _check_first_entry("hopf2d random", model, model.step,
+                       np.random.default_rng(41).random((50_000, 2)), 300, model.in_hole)
+
+
+def test_first_entry_matches_unmerged_loop_on_a_deep_grid():
+    # 512^2 centres over 300 steps: long merge chains over eight passes
+    for case in _first_entry_cases(512, 300, lambda model: model.step):
+        _check_first_entry(*case)
+
+
+def test_first_entry_steps_merged_twins_as_the_unmerged_batch():
+    # two equal random points merge at t = 1, and the unmerged loop steps
+    # them as a batch of two; OpenBLAS rounds a lone row's product in
+    # another order, which moves the entry step of these points (from 177
+    # to 185 for the first) if the merged row is stepped alone
+    model = HopfModel2D(0.1)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        twins = np.repeat(rng.random((1, 2)), 2, axis=0)
+        want = _mask_first_entry(model.step, twins, 300, model.in_hole)
+        got = first_entry(model.step, twins, 300, model.in_hole)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+class _CountingStep:
+    """Wraps a step and counts the points it is given."""
+
+    def __init__(self, step):
+        self.step, self.points = step, 0
+
+    def __call__(self, pos):
+        self.points += len(pos)
+        return self.step(pos)
+
+
+def test_merging_steps_a_fifth_of_the_dim_grid_orbits():
+    # every row is stepped once per visit it survives, so the unmerged
+    # loop steps entry.sum() points; dyadic grid orbits meet bit for bit
+    model = HopfModel2D(0.1)
+    step = _CountingStep(model.step)
+    _, entry = first_entry(step, grid_centers(2, 256), 100, model.default_trap().contains)
+    assert step.points <= 0.3 * entry.sum()
+
+
+def test_merging_costs_no_step_where_orbits_never_meet():
+    model = HopfModel3D(0.1)
+    step = _CountingStep(model.step)
+    _, entry = first_entry(step, grid_centers(3, 32), 100, model.default_trap().contains)
+    assert step.points == entry.sum()
+
+
+@pytest.mark.parametrize("make", [lambda: HopfModel2D(0.1), lambda: HopfModel3D(0.1),
+                                  LinearToy2D, TriplingToy, lambda: DiazVianaFamily(0.25)])
+def test_step_is_row_wise_on_batches_of_two_or_more(make):
+    # first_entry merges orbits that meet bit for bit, which is exact only
+    # if a row's image does not depend on the other rows of the batch, the
+    # BLAS product included: 200 random subsets of 2 rows or more.  A lone
+    # row is not covered: OpenBLAS rounds its 2-D and 3-D products in
+    # another order, and first_entry steps it as a batch where it must.
+    model = make()
+    rng = np.random.default_rng(43)
+    pts = np.concatenate([rng.random((1500, model.d)), grid_centers(model.d, 8)])
+    full = model.step(pts).view(np.int64)
+    for size in [2] * 50 + list(rng.integers(3, len(pts), 150)):
+        rows = np.sort(rng.choice(len(pts), size, replace=False))
+        assert np.array_equal(model.step(pts.take(rows, axis=0)).view(np.int64), full[rows])
 
 
 def test_spatial_step_matches_modulo_form_bitwise():

@@ -13,6 +13,7 @@ from repeller_lab.families import (
 from repeller_lab.holes import (
     MapWithHoles,
     check_word,
+    first_entry,
     propagate,
     pullback_witness_batch,
     pullback_witnesses,
@@ -142,6 +143,80 @@ def test_propagate_stops_once_no_orbit_is_active():
     model = CountingShift()
     assert np.all(propagate(model.step, np.ones((2, 1)), 0, visit) == 1.0)
     assert model.stepped == []
+
+
+def _unmerged_first_entry(step, points, steps, absorbed):
+    survives = np.ones(len(points), dtype=bool)
+    entry = np.full(len(points), steps, dtype=np.int64)
+
+    def visit(t, rows, pos):
+        hit = absorbed(pos)
+        survives[rows[hit]], entry[rows[hit]] = False, t
+        return hit
+
+    propagate(step, points, steps, visit)
+    return survives, entry
+
+
+def test_first_entry_resolves_merge_chains_across_passes():
+    # x -> floor(x / 2) on 0..1023 merges the rows pairwise at every step,
+    # so rows retired at t = 1 point at rows retired at t = 2, 4, 8, ...
+    sizes = []
+
+    def step(pos):
+        sizes.append(len(pos))
+        return np.floor(pos / 2.0)
+
+    def absorbed(pos):
+        return (pos[:, 0] == 3.0) | (pos[:, 0] == 10.0)
+
+    pts = np.arange(1024.0)[:, None]
+    survives, entry = first_entry(step, pts, 12, absorbed)
+    want_survives, want_entry = _unmerged_first_entry(lambda q: np.floor(q / 2.0),
+                                                      pts, 12, absorbed)
+    assert np.array_equal(survives, want_survives)
+    assert np.array_equal(entry, want_entry)
+    assert 0 < survives.sum() < len(pts) and len(set(entry[~survives])) > 2
+    # after the passes at t = 1, 2, 4 and 8 fewer rows are stepped than
+    # the unmerged loop steps (the rows with entry > t)
+    for t in (1, 2, 4, 8):
+        assert sizes[t] < (want_entry > t).sum()
+
+
+def test_first_entry_keeps_signed_zeros_apart():
+    # at t = 1 the rows sit at (1, 0.0) and (1, -0.0): equal as floats,
+    # not as bits, and the next step sends them to +inf and -inf
+    def step(pos):
+        with np.errstate(divide="ignore"):
+            return np.stack([pos[:, 0] + 1.0, 1.0 / pos[:, 1]], axis=1)
+
+    def absorbed(pos):
+        return (pos[:, 0] == 2.0) & (pos[:, 1] < 0)
+
+    pts = np.array([[0.0, np.inf], [0.0, -np.inf], [0.0, -np.inf]])
+    survives, entry = first_entry(step, pts, 3, absorbed)
+    assert survives.tolist() == [True, False, False]
+    assert entry.tolist() == [3, 2, 2]
+
+
+def test_first_entry_steps_a_lone_merged_row_as_a_batch():
+    # a step that rounds a lone row differently, as a BLAS product may:
+    # the two equal orbits are one batch of two for the unmerged loop, so
+    # their merged representative must not take the lone-row path, while
+    # an orbit that is alone anyway must
+    def step(pos):
+        half = np.floor(pos / 2.0)
+        return half + 0.5 if len(pos) == 1 else half
+
+    def absorbed(pos):
+        return pos[:, 0] != np.floor(pos[:, 0])
+
+    twins = np.array([[8.0], [8.0]])
+    assert _unmerged_first_entry(step, twins, 3, absorbed)[1].tolist() == [3, 3]
+    survives, entry = first_entry(step, twins, 3, absorbed)
+    assert survives.tolist() == [True, True] and entry.tolist() == [3, 3]
+    survives, entry = first_entry(step, np.array([[8.0]]), 3, absorbed)
+    assert survives.tolist() == [False] and entry.tolist() == [1]
 
 
 # ------------------------------------------------------------------ words
