@@ -9,8 +9,9 @@ grids, itineraries, the slow-set Monte Carlo and the induced map all
 iterate their orbits through it.  ``first_entry``, under the escape
 times and survivor grids, steps one orbit for each group of orbits that
 meet bit for bit (dyadic grid centres do, often): exact because ``step``
-and the absorber are row-wise, checked at t = 1, 2, 4, 8, ... and no
-more after a check that finds no two orbits met.
+and the absorber are row-wise on batches of two rows or more (a lone
+merged row is evaluated as a pair), checked at t = 1, 2, 4, 8, ... and
+no more after a check that finds no two orbits met.
 
 Cylinders C(a_1,...,a_n) — the sets of points sharing a branch itinerary —
 are realized two-sidedly:
@@ -76,12 +77,13 @@ def first_entry(step, points, steps: int, absorbed):
     ``step`` and ``absorbed`` are row-wise (``MapWithHoles`` asks its
     methods to be vectorized and pure): an output row depends only on its
     input row, so equal rows have equal futures.  The BLAS products in the
-    2-D and 3-D models' ``step`` are row-wise on batches of two rows or
-    more, but OpenBLAS rounds a lone row's product in another order (the
-    last bit differs for one random row in ten in 2-D).  So when
-    merging leaves one active row that stands for several orbits, which
-    the unmerged loop would step as a batch, that row is stepped as a
-    batch of two copies of itself.
+    2-D and 3-D models' ``step``, and in the 3-D trap's eigencoordinates,
+    are row-wise on batches of two rows or more, but OpenBLAS rounds a
+    lone row's product in another order (the last bit differs for one
+    random row in ten in 2-D), which can move a row across the trap's
+    boundary.  So when merging leaves one active row that stands for
+    several orbits, which the unmerged loop would hold as a batch, that
+    row is stepped and tested as a batch of two copies of itself.
     """
     survives = np.ones(len(points), dtype=bool)
     entry = np.full(len(points), steps, dtype=np.int64)
@@ -89,9 +91,18 @@ def first_entry(step, points, steps: int, absorbed):
     next_pass = 1
     lone = None  # whether the last active row stands for several orbits
 
+    def batched(fn):
+        def call(pos):
+            if lone and len(pos) == 1:
+                return fn(np.concatenate([pos, pos]))[:1]
+            return fn(pos)
+        return call
+
+    absorbed_rows = batched(absorbed)
+
     def visit(t, rows, pos):
         nonlocal rep, next_pass, lone
-        hit = absorbed(pos)
+        hit = absorbed_rows(pos)
         gone = rows[hit]
         survives[gone] = False
         entry[gone] = t
@@ -110,12 +121,7 @@ def first_entry(step, points, steps: int, absorbed):
             lone = np.count_nonzero(_chain_ends(rep) == last) > 1
         return hit
 
-    def step_rows(pos):
-        if lone and len(pos) == 1:
-            return step(np.concatenate([pos, pos]))[:1]
-        return step(pos)
-
-    propagate(step_rows, points, steps, visit)
+    propagate(batched(step), points, steps, visit)
     if rep is None:
         return survives, entry
     rep = _chain_ends(rep)

@@ -265,7 +265,7 @@ def _mask_first_entry(step, points, steps, absorbed):
 def _first_entry_cases(n, horizon, step_of):
     """(label, model, step, points, steps, absorbed) of the hopf2d grid
     n^2 by trap and by hole; ``step_of(model)`` is the reference step."""
-    for mu in (0.005, 0.05, 0.1, 0.0, -0.05):
+    for mu in (0.005, 0.01, 0.05, 0.1, 0.0, -0.05):
         model = HopfModel2D(mu)
         pts, trap = grid_centers(2, n), model.default_trap()
         if not trap.empty:
@@ -292,7 +292,8 @@ def test_first_entry_matches_boolean_mask_loop_on_the_dim_grid():
     mask_step = lambda model: (lambda q: _mask_step(model, q))
     for case in _first_entry_cases(256, 100, mask_step):
         survives = _check_first_entry(*case)
-        if case[0] == "hopf2d mu=0.1 trap":
+        if case[0] in ("hopf2d mu=0.1 trap", "hopf2d mu=0.01 trap"):
+            # the dim benchmark's two rows: some orbits survive, some escape
             assert 0 < survives.sum() < len(survives)
     model = HopfModel3D(0.1)
     _check_first_entry("hopf3d 32^3 trap", model, model.step, grid_centers(3, 32), 100,
@@ -353,21 +354,37 @@ def test_merging_costs_no_step_where_orbits_never_meet():
     assert step.points == entry.sum()
 
 
+def _row_wise_maps(model):
+    """The model's step and every absorber first_entry is run against."""
+    yield "step", model.step, lambda out: out.view(np.int64)
+    if hasattr(model, "default_trap"):
+        yield "trap", model.default_trap().contains, lambda out: out
+    if hasattr(model, "in_hole"):
+        yield "hole", model.in_hole, lambda out: out
+
+
 @pytest.mark.parametrize("make", [lambda: HopfModel2D(0.1), lambda: HopfModel3D(0.1),
                                   LinearToy2D, TriplingToy, lambda: DiazVianaFamily(0.25)])
 def test_step_is_row_wise_on_batches_of_two_or_more(make):
     # first_entry merges orbits that meet bit for bit, which is exact only
-    # if a row's image does not depend on the other rows of the batch, the
-    # BLAS product included: 200 random subsets of 2 rows or more.  A lone
-    # row is not covered: OpenBLAS rounds its 2-D and 3-D products in
-    # another order, and first_entry steps it as a batch where it must.
+    # if a row's image, and whether it is absorbed, do not depend on the
+    # other rows of the batch, the BLAS product included: 200 random
+    # subsets of 2 rows or more.  A lone row is not covered: OpenBLAS
+    # rounds its 2-D and 3-D products in another order, and first_entry
+    # steps and tests it as a batch where it must (one of 1000 points on
+    # the 3-D trap's boundary changes sides when tested alone).  The
+    # points include the trap's boundary and images of the grid.
     model = make()
     rng = np.random.default_rng(43)
     pts = np.concatenate([rng.random((1500, model.d)), grid_centers(model.d, 8)])
-    full = model.step(pts).view(np.int64)
-    for size in [2] * 50 + list(rng.integers(3, len(pts), 150)):
-        rows = np.sort(rng.choice(len(pts), size, replace=False))
-        assert np.array_equal(model.step(pts.take(rows, axis=0)).view(np.int64), full[rows])
+    pts = np.concatenate([pts, model.step(model.step(pts))])
+    if hasattr(model, "default_trap"):
+        pts = np.concatenate([pts, model.default_trap().boundary_sample(1000)])
+    for label, fn, bits in _row_wise_maps(model):
+        full = bits(fn(pts))
+        for size in [2] * 50 + list(rng.integers(3, len(pts), 150)):
+            rows = np.sort(rng.choice(len(pts), size, replace=False))
+            assert np.array_equal(bits(fn(pts.take(rows, axis=0))), full[rows]), label
 
 
 def test_spatial_step_matches_modulo_form_bitwise():

@@ -219,6 +219,24 @@ def test_first_entry_steps_a_lone_merged_row_as_a_batch():
     assert survives.tolist() == [False] and entry.tolist() == [1]
 
 
+def test_first_entry_tests_a_lone_merged_row_as_a_batch():
+    # an absorber that answers differently for a lone row, as the 3-D
+    # trap's BLAS product may near its boundary: the twins merge at t = 1
+    # and the unmerged loop tests them as a batch of two at every step
+    def absorbed(pos):
+        return np.full(len(pos), len(pos) == 1)
+
+    def step(pos):
+        return pos + 1.0
+
+    twins = np.array([[0.0], [0.0]])
+    assert _unmerged_first_entry(step, twins, 4, absorbed)[0].tolist() == [True, True]
+    survives, entry = first_entry(step, twins, 4, absorbed)
+    assert survives.tolist() == [True, True] and entry.tolist() == [4, 4]
+    survives, entry = first_entry(step, np.array([[0.0]]), 4, absorbed)
+    assert survives.tolist() == [False] and entry.tolist() == [0]
+
+
 # ------------------------------------------------------------------ words
 
 def test_word_validation():
