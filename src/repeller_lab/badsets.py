@@ -105,10 +105,6 @@ class WordCensus:
     visited: int
     capped: bool
 
-    @property
-    def conclusive(self) -> bool:
-        return not self.capped
-
 
 def enumerate_slow_words(system: MapWithHoles, n: int, threshold=None, *,
                          max_words: int = 100_000) -> WordCensus:

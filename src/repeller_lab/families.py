@@ -192,10 +192,10 @@ class HopfModel2D(_TenBranchTorus):
     profile dips below 1 at the origin, making it attracting; the hole is
     the open disk bounded by the radially neutral circle rho_inv.
 
-    Derived constants: b1 = Phi'(mu, 0); mu_f = pi rho_inv^2 (exact disk
-    area); K_mu = mu / mu_f; family constant K = inf K_mu over a positive
-    mu grid; threshold coefficient c0 = K / 256; delta_mu = K mu_f is the
-    effective argument of the depth-volume bound for this family.
+    Derived constants: mu_f = pi rho_inv^2 (exact disk area); family
+    constant K = inf mu / mu_f over a positive mu grid; threshold
+    coefficient c0 = K / 256; delta_mu = K mu_f is the effective argument
+    of the depth-volume bound for this family.
     """
 
     label = "hopf-2d"
@@ -208,11 +208,9 @@ class HopfModel2D(_TenBranchTorus):
         self.profile = build_phi(self.mu, SQRT10, delta0, delta1, sigma1,
                                  slope=slope, quad=quad)
         self.delta0, self.delta1 = delta0, delta1
-        self.b1 = float(self.profile.derivative(0.0))
         self.rho_inv = circle_radius(self.profile)
         self.w_star = self.rho_inv ** 2
         self.mu_f = float(np.pi) * self.rho_inv ** 2
-        self.K_mu = self.mu / self.mu_f if self.mu_f > 0 else float("nan")
 
         grid = np.geomspace(1e-4, 0.1, 17)
         self.K = min(m / (np.pi * invariant_circle_radius(self, m) ** 2) for m in grid)
@@ -365,7 +363,6 @@ class HopfModel3D:
         self.profile = build_phi(self.mu, self.sigma, delta0, delta1, sigma1,
                                  slope=slope, quad=quad)
         self.delta0, self.delta1 = delta0, delta1
-        self.b1 = float(self.profile.derivative(0.0))
         self.rho_inv = circle_radius(self.profile)
 
     def _certify_spectrum(self):

@@ -214,7 +214,10 @@ class MapWithHoles:
 
         Positive value r certifies the ball B(x, r) lies inside the branch
         domain (outside the hole); value below -r certifies B(x, r) misses
-        the domain entirely.
+        the domain entirely.  The margin must be 1-Lipschitz in the torus
+        metric d_T, up to rounding: |m(p) - m(q)| <= d_T(p, q) (1 + 1e-12)
+        + 1e-15 for any two points, computed in one batch or apart.
+        ``refine_cylinder``'s block screen rests on this.
         """
         raise NotImplementedError
 
@@ -310,10 +313,11 @@ class CylinderGeometry:
     """Two-sided realization of a cylinder at one grid resolution.
 
     ``boxes`` holds integer grid indices of the outer-cover boxes at
-    resolution base**-k; ``certified`` flags boxes whose bounding ball was
-    verified to stay inside every required branch domain (their total
-    volume is the lower estimate).  ``witnesses`` are verified interior
-    points.  ``empty`` marks a cylinder with neither cover nor witnesses.
+    resolution base**-k, in lexicographic order (``covers`` relies on
+    it); ``certified`` flags boxes whose bounding ball was verified to
+    stay inside every required branch domain (their total volume is the
+    lower estimate).  ``witnesses`` are verified interior points.
+    ``empty`` marks a cylinder with neither cover nor witnesses.
     """
 
     word: tuple
@@ -327,13 +331,23 @@ class CylinderGeometry:
     empty: bool
 
     def covers(self, points: np.ndarray) -> np.ndarray:
-        """True per point when the point lies in one of the cover boxes."""
+        """True per point when the point lies in one of the cover boxes.
+
+        Looks the points' boxes up by binary search over the boxes'
+        C-order linear indices; raises ValueError where those overflow
+        int64.
+        """
         pts = np.atleast_2d(points)
         if len(self.boxes) == 0:
             return np.zeros(len(pts), dtype=bool)
-        idx = box_indices(pts, self.k, self.base)
-        have = set(map(tuple, self.boxes))
-        return np.array([tuple(row) in have for row in idx])
+        n, d = self.base ** self.k, self.boxes.shape[1]
+        if n ** d > np.iinfo(np.int64).max:
+            raise ValueError(f"({self.base}**{self.k})**{d} boxes: linear indices overflow int64")
+        shape = (n,) * d
+        have = np.ravel_multi_index(self.boxes.T, shape)
+        want = np.ravel_multi_index(box_indices(pts, self.k, self.base).T, shape)
+        at = np.searchsorted(have, want).clip(max=len(have) - 1)
+        return have[at] == want
 
 
 def _empty_geometry(word: tuple, base: int, k: int, d: int) -> CylinderGeometry:
@@ -344,19 +358,34 @@ def _empty_geometry(word: tuple, base: int, k: int, d: int) -> CylinderGeometry:
                             vol_lo=0.0, vol_hi=0.0, empty=True)
 
 
+# refine_cylinder's block screen drops a block whose center margin is
+# below -(R (1 + _SCREEN_REL) + _SCREEN_ABS), R the block's half-diagonal;
+# refine_cylinder derives that this covers the rounding.
+_SCREEN_REL, _SCREEN_ABS = 2.0 ** -30, 2.0 ** -40
+
+
 def _candidate_centers(system: MapWithHoles, symbol: int, base: int, k: int):
-    """Grid-box centers over the branch domain's bounding box."""
-    n = base ** k
+    """``(idx, centers, total)``: the grid boxes that the block screen
+    keeps, of the ``total`` boxes of side base**-k over the branch
+    domain's bounding box, and their centers.
+
+    Blocks have base**(k // 2) boxes a side; ``idx`` lists the boxes of
+    the blocks kept, in lexicographic order.
+    """
+    n, side = base ** k, base ** (k // 2)
     bbox = np.asarray(system.cell_bbox(symbol), dtype=float)
-    axes = []
-    for lo, hi in bbox:
-        i0 = max(0, int(np.floor(lo * n)))
-        i1 = min(n, int(np.ceil(hi * n)))
-        axes.append(np.arange(i0, i1, dtype=np.int64))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    idx = np.stack([m.ravel() for m in mesh], axis=-1)
-    centers = (idx + 0.5) / n
-    return idx, centers
+    lo = np.array([max(0, int(np.floor(a * n))) for a in bbox[:, 0]])
+    hi = np.array([min(n, int(np.ceil(b * n))) for b in bbox[:, 1]])
+    first, last = lo // side, -(-hi // side)  # the blocks meeting [lo, hi)
+    blocks = np.indices(last - first).reshape(system.d, -1).T + first
+    half_diag = 0.5 * np.sqrt(system.d) * side / n
+    margins = system.cell_margin(symbol, (blocks + 0.5) / (n // side))
+    mask = (margins >= -(half_diag * (1 + _SCREEN_REL) + _SCREEN_ABS)).reshape(last - first)
+    for axis in range(system.d):
+        mask = mask.repeat(side, axis=axis)
+    mask = mask[tuple(slice(a, b) for a, b in zip(lo - first * side, hi - first * side))]
+    idx = np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=-1) + lo
+    return idx, (idx + 0.5) / n, mask.size
 
 
 def pullback_witness_batch(system: MapWithHoles, words, *, targets: int = 12,
@@ -427,13 +456,33 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
                     *, witness_targets: int = 12, seed: int = 0) -> CylinderGeometry:
     """Outer cover and inner witnesses of C(a_1,...,a_n) at one resolution.
 
-    The cover starts from all grid boxes meeting the first branch domain's
-    bounding box.  Each box is represented by the ball around its center
+    Each grid box is represented by the ball around its center
     containing it; the ball is transported forward step by step with the
     radius inflated by a local expansion bound, and the box is pruned as
     soon as the transported ball provably misses the branch domain
     required at that step.  Boxes whose ball provably stays inside every
     required domain count toward the certified lower volume.
+
+    The cover starts from the grid boxes meeting the first branch
+    domain's bounding box, screened by blocks of base**(k // 2) boxes a
+    side.  A box survives the first step only when its center's margin is
+    at least -r0, r0 = eps sqrt(d) / 2 its half-diagonal.  Its center lies
+    within R - r0 of its block's center, R the block's half-diagonal, so
+    by the margin's Lipschitz contract (``MapWithHoles.cell_margin``) a
+    block whose center margin is below -R holds no surviving box, and its
+    boxes are never evaluated.  The float slack, with u = 2^-53: each
+    center coordinate (i + 1/2) / n is within u of its real value, which
+    adds at most 2u sqrt(d) < 4e-16 to a distance; r0 and R, a few
+    operations from base**-k, are within 4u of theirs, relative; the
+    contract adds 1e-12 relative and 1e-15 absolute.  So a surviving
+    box's block center has a margin of at least -R (1 + 1e-12 + 8u)
+    - 1.4e-15, and the screen drops a block only below -(R (1 + 2^-30)
+    + 2^-40), which is 900 and 600 times further out.  The boxes of the
+    kept blocks are then evaluated as one batch in the full grid's
+    lexicographic order, so the screen changes no box, flag, witness or
+    volume, bit for bit.  When the screen leaves one box of several, that
+    box is evaluated as a batch of two copies of itself, because a lone
+    row's BLAS product rounds differently (see ``first_entry``).
 
     A geometrically empty cylinder (adjacency-violating word, or cover and
     witness search both coming up empty) is returned as an explicit empty
@@ -448,8 +497,11 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
         return _empty_geometry(word, base, k, system.d)
 
     r0 = 0.5 * eps * np.sqrt(system.d)
-    idx, centers = _candidate_centers(system, word[0], base, k)
-    margins = system.cell_margin(word[0], centers)
+    idx, centers, total = _candidate_centers(system, word[0], base, k)
+    if len(idx) == 1 < total:
+        margins = system.cell_margin(word[0], np.concatenate([centers, centers]))[:1]
+    else:
+        margins = system.cell_margin(word[0], centers)
     # balls are closed: prune only when the transported ball provably
     # misses the cell (margin strictly below -radius), so an exactly
     # touching measure-zero cylinder is never declared empty

@@ -19,15 +19,15 @@ constant sigma on [delta1, delta0].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 class ProfileError(ValueError):
-    """Profile construction failure, carrying the violated condition name."""
+    """Profile construction failure; the message names the violated condition."""
 
     def __init__(self, condition: str, detail: str):
-        self.condition = condition
         super().__init__(f"profile condition '{condition}' violated: {detail}")
 
 
@@ -109,6 +109,18 @@ class PhiProfile:
             out[blend_zone] = (h00 * self._y0 + h10 * width * self._m0
                                + h01 * self.sigma)
         return out if out.ndim else float(out)
+
+    def _value_at(self, w: float) -> float:
+        """``value`` at one float, by ``value``'s operations in its order."""
+        if w < self.delta1:
+            return (1 - self.mu) + self.slope * w + self.quad * (w * w)
+        if w >= self.delta0:
+            return self.sigma
+        width = self.delta0 - self.delta1
+        t = (w - self.delta1) / width
+        s = (1 - t) * (1 - t)
+        return ((1 + 2 * t) * s * self._y0 + t * s * width * self._m0
+                + t * t * (3 - 2 * t) * self.sigma)
 
     def derivative(self, w):
         w = np.asarray(w, dtype=float)
@@ -222,16 +234,17 @@ def circle_radius(profile: PhiProfile) -> float:
 
     Returns 0 when the profile has no sub-unit dip (mu <= 0).  For mu > 0
     the root is unique because Phi is strictly increasing, and bisection
-    brackets it to within 1e-12 in rho.
+    brackets it to within 1e-12 in rho.  The bisection runs on Python
+    floats, through the same float operations as ``value``.
     """
-    if profile.value(0.0) >= 1.0:
+    if profile._value_at(0.0) >= 1.0:
         return 0.0
-    lo, hi = 0.0, np.sqrt(profile.delta0)
-    if profile.value(hi * hi) <= 1.0:
+    lo, hi = 0.0, math.sqrt(profile.delta0)
+    if profile._value_at(hi * hi) <= 1.0:
         raise ValueError("profile never re-crosses 1: invalid saturation value")
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if profile.value(mid * mid) < 1.0:
+        if profile._value_at(mid * mid) < 1.0:
             lo = mid
         else:
             hi = mid

@@ -43,7 +43,7 @@ def test_neutral_circle_radius_closed_form():
 
 def test_radius_first_order_against_derived_slope():
     model = HopfModel2D(0.01)
-    assert model.rho_inv == pytest.approx(np.sqrt(0.01 / model.b1), rel=1e-6)
+    assert model.rho_inv == pytest.approx(np.sqrt(0.01 / model.profile.derivative(0.0)), rel=1e-6)
 
 
 def test_radius_scaling_slope_one_half():
@@ -61,7 +61,7 @@ def test_derived_constants():
     assert model.c0 == pytest.approx(model.K / 256.0, rel=1e-12)
     assert model.delta_mu == pytest.approx(0.1, rel=1e-6)
     assert model.S == pytest.approx(1.0, abs=1e-9)
-    assert model.K_mu == pytest.approx(model.K, rel=1e-9)
+    assert model.mu / model.mu_f == pytest.approx(model.K, rel=1e-9)
 
 
 def test_hole_volume_against_monte_carlo():

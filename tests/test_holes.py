@@ -1,7 +1,11 @@
 """Tests for cylinder covers, witnesses, and expansion profiles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repeller_lab.families import (
     DiazVianaFamily,
@@ -18,7 +22,9 @@ from repeller_lab.holes import (
     pullback_witness_batch,
     pullback_witnesses,
     refine_cylinder,
+    _candidate_centers,
 )
+from repeller_lab.geometry import box_indices, scale_to_base, wrap
 from repeller_lab.induced import InducedExpander, build_induced, verify_expansion
 
 
@@ -387,6 +393,205 @@ def test_inconsistent_margin_oracle_is_caught():
 def test_covers_with_no_boxes_is_false():
     dead = refine_cylinder(GappedQuadrupling(), (0, 1), 2.0 ** -8)
     assert not dead.covers(np.array([[0.2]])).any()
+
+
+# ------------------------------------------------------------ block screen
+
+def _full_grid_refinement(system, word, resolution, *, witness_targets=12, seed=0):
+    """``refine_cylinder`` as it was before the block screen: the first
+    step evaluates the margin at every box over the bounding box."""
+    word = tuple(word)
+    base, k = scale_to_base(resolution)
+    n, eps = base ** k, base ** -k
+    if not check_word(system, word):
+        return None
+    axes = [np.arange(max(0, int(np.floor(lo * n))), min(n, int(np.ceil(hi * n))),
+                      dtype=np.int64)
+            for lo, hi in np.asarray(system.cell_bbox(word[0]), dtype=float)]
+    idx = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    pos = (idx + 0.5) / n
+    r0 = 0.5 * eps * np.sqrt(system.d)
+    margins = system.cell_margin(word[0], pos)
+    keep = np.flatnonzero(margins >= -r0)
+    idx, pos = idx.take(keep, axis=0), pos.take(keep, axis=0)
+    inside = margins[keep] >= r0
+    rad = np.full(len(pos), r0)
+    for symbol in word[1:]:
+        if len(pos) == 0:
+            break
+        rad = rad * system.lip_bound(pos, rad)
+        pos = system.step(pos)
+        margins = system.cell_margin(symbol, pos)
+        keep = np.flatnonzero(margins >= -rad)
+        idx, pos = idx.take(keep, axis=0), pos.take(keep, axis=0)
+        rad, margins = rad[keep], margins[keep]
+        inside = inside[keep] & (margins >= rad)
+    witnesses = pullback_witnesses(system, word, targets=witness_targets, seed=seed)
+    return (idx, inside, witnesses, float(inside.sum()) * eps ** system.d,
+            float(len(idx)) * eps ** system.d)
+
+
+def _assert_refines_like_the_full_grid(system, word, resolution, **kw):
+    got = refine_cylinder(system, word, resolution, **kw)
+    want = _full_grid_refinement(system, word, resolution, **kw)
+    if got.empty:
+        assert len(want[0]) == 0 and len(want[2]) == 0
+        return got
+    for a, b in zip((got.boxes, got.certified, got.witnesses), want[:3]):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (got.vol_lo, got.vol_hi) == want[3:]
+    return got
+
+
+_RESOLUTIONS = [2.0 ** -k for k in range(5, 10)] + [3.0 ** -k for k in range(4, 7)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: HopfModel2D(0.005), lambda: HopfModel2D(0.1), LinearToy2D,
+    lambda: DiazVianaFamily(0.25), TriplingToy,
+], ids=["hopf2d-0.005", "hopf2d-0.1", "linear2d", "diaz-viana", "tripling"])
+def test_block_screen_refines_like_the_full_grid(make):
+    # words of length 1-6 at every resolution; every other word starts
+    # with symbol 0, whose hopf2d margin carries the disk term
+    system, rng = make(), np.random.default_rng(7)
+    kept = 0
+    for length in range(1, 7):
+        for i, resolution in enumerate(_RESOLUTIONS):
+            word = rng.integers(0, system.n_branches, length)
+            if i % 2 == 0:
+                word[0] = 0
+            geo = _assert_refines_like_the_full_grid(system, word, resolution,
+                                                     witness_targets=4, seed=i)
+            kept += len(geo.boxes)
+    assert kept > 0
+
+
+class LoneBoxArc(GappedQuadrupling):
+    """Branch 0 is the arc [0.52, 0.55], its bounding box two boxes of
+    side 2^-4 on either side of x = 1/2, the edge between two blocks of
+    four boxes; the screen drops the block of [1/4, 1/2).  The margin
+    answers differently for a lone row, as a BLAS product may."""
+
+    CELLS = ((0.52, 0.55), (0.8, 0.9))
+
+    def cell_bbox(self, symbol):
+        return np.array([[0.4375, 0.5625]]) if symbol == 0 else super().cell_bbox(symbol)
+
+    def cell_margin(self, symbol, points):
+        margin = super().cell_margin(symbol, points)
+        return margin - 1.0 if len(margin) == 1 else margin
+
+
+def test_block_screen_evaluates_a_lone_box_as_a_batch():
+    system = LoneBoxArc()
+    idx, centers, total = _candidate_centers(system, 0, 2, 4)
+    assert idx.tolist() == [[8]] and centers.tolist() == [[8.5 / 16]] and total == 2
+    geo = _assert_refines_like_the_full_grid(system, (0,), 2.0 ** -4)
+    assert geo.boxes.tolist() == [[8]] and len(geo.witnesses) > 0
+    # alone, the box's margin would fall below -r0 and drop it
+    assert system.cell_margin(0, np.array([[8.5 / 16]]))[0] < -2.0 ** -5
+
+
+def test_block_screen_evaluates_a_fraction_of_the_grid():
+    # one margin per block of 16^2 boxes, then the boxes of the blocks
+    # near the cell (a tenth of the torus); the full grid has 512^2
+    system, sizes = HopfModel2D(0.1), []
+    margin = system.cell_margin
+    system.cell_margin = lambda symbol, points: sizes.append(len(points)) or margin(symbol, points)
+    geo = refine_cylinder(system, (3,), 2.0 ** -9, witness_targets=0)
+    assert sizes[0] == 32 ** 2 and sum(sizes) < 512 ** 2 / 4
+    assert 512 ** 2 / 20 < len(geo.boxes) < sizes[1]
+
+
+_SHIPPED = {"hopf2d-0.005": HopfModel2D(0.005), "hopf2d-0.1": HopfModel2D(0.1),
+            "hopf2d-0": HopfModel2D(0.0), "linear2d": LinearToy2D(),
+            "tripling": TriplingToy(), "diaz-viana-0.25": DiazVianaFamily(0.25),
+            "diaz-viana-0.04": DiazVianaFamily(0.04)}
+_A2 = np.array([[3.0, -1.0], [1.0, 3.0]])
+
+
+def _anchors(system, symbol, kind):
+    """``(point, normal)`` pairs on the ``kind`` of line: the edges of
+    ``symbol``'s cells, the torus seams (of [0, 1) and of [-1/2, 1/2)) or
+    the neutral circle, with the unit normal along which the margin moves
+    at slope one."""
+    if system.d == 1:
+        points = system.cells[symbol] if kind == "edge" else (0.0, 0.5, 1.0)
+        return [([x], [1.0]) for x in points]
+    if kind == "seam":
+        return [([x, y], [1.0, 0.0]) for x, y in ((0.0, 0.3), (0.5, 0.7), (1.0, 0.5))] \
+            + [([x, y], [0.0, 1.0]) for x, y in ((0.2, 0.0), (0.5, 0.5), (0.8, 1.0))]
+    if kind == "circle":
+        radial = [np.array([np.cos(t), np.sin(t)]) for t in (0.0, 1.0, 2.5, 4.0)]
+        return [(wrap(system.rho_inv * u), u) for u in radial]
+    # the cells are the unit boxes around the integer points r of y = A x
+    # with (3 r0 + r1) mod 10 = symbol, and A / sqrt(10) is a rotation
+    out = []
+    for r0 in (-1, 0, 1):
+        r = np.array([r0, (symbol - 3 * r0) % 10 - 5])
+        for axis in (0, 1):
+            for side in (-0.5, 0.5):
+                for t in (-0.3, 0.1, 0.45):
+                    y = r + np.array([side, t])[[axis, 1 - axis]]
+                    out.append((wrap(np.linalg.solve(_A2, y)), _A2[axis] / np.sqrt(10.0)))
+    return out
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name, system in _SHIPPED.items() for kind in ("edge", "seam", "circle")
+    if kind != "circle" or getattr(system, "mu", 0.0) > 0])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cell_margin_is_one_lipschitz_in_the_torus_metric(name, kind, data):
+    # pairs across a line, straight along its normal or in any direction;
+    # on the neutral circle only symbol 0's margin carries the disk term
+    system = _SHIPPED[name]
+    symbol = 0 if kind == "circle" else data.draw(st.integers(0, system.n_branches - 1))
+    anchor, normal = data.draw(st.sampled_from(_anchors(system, symbol, kind)))
+    scale = data.draw(st.sampled_from([1e-15, 1e-9, 1e-4, 0.02]), label="scale")
+    skew = data.draw(st.sampled_from([0.0, 1e-3, 1.0]), label="skew")
+    unit = st.floats(-1.0, 1.0)
+    pair = [np.asarray(anchor) + scale * (data.draw(unit) * np.asarray(normal)
+                                          + skew * np.array([data.draw(unit) for _ in anchor]))
+            for _ in range(2)]
+    p, q = wrap(np.array(pair))
+    together = system.cell_margin(symbol, np.stack([p, q]))
+    apart = [system.cell_margin(symbol, x[None, :])[0] for x in (p, q)]
+    gap = p - q
+    gap -= np.round(gap)
+    bound = np.sqrt((gap * gap).sum()) * (1 + 1e-12) + 1e-15
+    for mp in (together[0], apart[0]):
+        for mq in (together[1], apart[1]):
+            assert abs(mp - mq) <= bound
+
+
+# ------------------------------------------------------------ cover lookup
+
+def test_covers_matches_a_lookup_in_the_box_set():
+    model = HopfModel2D(0.1)
+    rng = np.random.default_rng(3)
+    for word, resolution in (((0, 2), 2.0 ** -7), ((5,), 3.0 ** -5)):
+        geo = refine_cylinder(model, word, resolution)
+        pts = np.concatenate([rng.random((4000, 2)), geo.witnesses,
+                              (geo.boxes + 0.5) * resolution])
+        have = set(map(tuple, geo.boxes))
+        want = [tuple(row) in have for row in box_indices(pts, geo.k, geo.base)]
+        got = geo.covers(pts)
+        assert got.tolist() == want and 0 < got.sum() < len(pts)
+    for toy, word in ((TriplingToy(), (0, 1)), (DiazVianaFamily(0.25), (1, 0))):
+        geo = refine_cylinder(toy, word, 3.0 ** -6)
+        pts = np.linspace(0.0, 1.0, 3001)[:, None]
+        have = set(map(tuple, geo.boxes))
+        assert geo.covers(pts).tolist() == [
+            tuple(row) in have for row in box_indices(pts, geo.k, geo.base)]
+
+
+def test_covers_refuses_linear_indices_past_int64():
+    geo = refine_cylinder(LinearToy2D(), (1,), 2.0 ** -4)
+    huge = dataclasses.replace(geo, k=32)
+    with pytest.raises(ValueError, match="overflow int64"):
+        huge.covers(np.array([[0.1, 0.2]]))
+    assert dataclasses.replace(geo, k=31).covers(np.array([[0.1, 0.2]])).shape == (1,)
 
 
 # --------------------------------------------------------------- witnesses

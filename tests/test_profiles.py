@@ -115,7 +115,7 @@ def test_error_carries_condition_name():
     try:
         build_phi(0.1, SQRT10, slope=200.0)
     except ProfileError as err:
-        assert err.condition == "derivative_bounds"
+        assert str(err).startswith("profile condition 'derivative_bounds' violated")
     else:
         pytest.fail("expected ProfileError")
 
@@ -140,6 +140,56 @@ def test_circle_radius_with_curvature_against_quadratic_formula():
     # q w^2 + c w - mu = 0, positive root
     w = (-60 + np.sqrt(60.0 ** 2 + 4 * 200.0 * 0.05)) / (2 * 200.0)
     assert rho == pytest.approx(np.sqrt(w), abs=1e-10)
+
+
+def _array_path_radius(profile):
+    """``circle_radius`` as it was: bisection through ``value``'s array path."""
+    if profile.value(0.0) >= 1.0:
+        return 0.0
+    lo, hi = 0.0, np.sqrt(profile.delta0)
+    if profile.value(hi * hi) <= 1.0:
+        raise ValueError("profile never re-crosses 1: invalid saturation value")
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if profile.value(mid * mid) < 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_K_GRID = tuple(np.geomspace(1e-4, 0.1, 17))  # HopfModel2D's grid for K
+_SIGMA_3D = 3.163855254227258  # HopfModel3D's expanding modulus
+
+
+@pytest.mark.parametrize("shape", [{}, {"slope": 40.0}, {"quad": 500.0},
+                                   {"slope": 40.0, "quad": 500.0}])
+def test_circle_radius_matches_the_array_path_bit_for_bit(shape):
+    for sigma in (SQRT10, _SIGMA_3D):
+        for mu in (*_K_GRID, 0.005, 0.01, 0.02, 0.05, 0.1, 0.0, -0.05):
+            phi = build_phi(float(mu), sigma, **shape)
+            got, want = circle_radius(phi), _array_path_radius(phi)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            assert (got == 0.0) == (mu <= 0)
+
+
+def test_scalar_value_matches_value_bit_for_bit():
+    # every zone: quadratic, Hermite blend, saturated
+    for shape in ({}, {"slope": 40.0, "quad": 500.0}):
+        phi = default_profile(0.05, **shape)
+        ws = np.linspace(0.0, 1.5 * phi.delta0, 4001)
+        ws = np.concatenate([ws, [phi.delta1, phi.delta0, np.nextafter(phi.delta1, 0.0)]])
+        want = phi.value(ws)
+        got = np.array([phi._value_at(float(w)) for w in ws])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_circle_radius_rejects_a_profile_that_never_recrosses_one():
+    phi = default_profile(0.1)
+    object.__setattr__(phi, "sigma", 0.95)  # no longer a conformant profile
+    for radius in (circle_radius, _array_path_radius):
+        with pytest.raises(ValueError, match="never re-crosses 1"):
+            radius(phi)
 
 
 # ---------------------------------------------------------- stretch bound
