@@ -13,6 +13,17 @@ The headline object is ``delta_bound``, the depth-volume envelope
 
 which rises to a peak near n = 8/mu and then decays exponentially; the
 measured volume of the slow set at depth n is compared against it.
+
+The Stirling, prefactor, entropy and lemma bounds each compute a cell in
+one kernel, which takes the cell's exact binomial and its row's constants.
+The scalar functions validate one cell, call ``comb`` and wrap the
+kernel's result in a ``BoundCheck``; the row walks (``stirling_row`` and
+its kin) validate a whole row once and step the binomial along it as
+C(l, k+1) = C(l, k) (l-k) // (k+1).  That division is exact, so each
+step gives the very integer ``comb`` gives, ``log`` of it the same float,
+and every float the kernel derives from it and from the row's constants
+(computed by the same expressions, in the same order) the same bits: a
+row walk and the scalar function agree bit for bit on every cell.
 """
 
 from __future__ import annotations
@@ -28,10 +39,14 @@ __all__ = [
     "delta_peak",
     "depth_threshold",
     "entropy_bound",
+    "entropy_row",
     "lemma_cell_bound",
+    "lemma_row",
     "lt_constraints",
     "prefactor_bound",
+    "prefactor_row",
     "stirling_binomial_bound",
+    "stirling_row",
 ]
 
 
@@ -125,13 +140,27 @@ def stirling_binomial_bound(l: int, t: int) -> BoundCheck:
     """
     if not (1 <= t and 2 * t < l):
         raise ValueError("comparison is stated for 1 <= t < l/2")
-    c = comb(l, t)
-    lhs = log(c)
-    a = l * log(l)
-    rhs = a - t * log(t) - (l - t) * log(l - t)
-    ok = rhs - lhs > _LOG_SCREEN * (a + lhs + 1) or c * t ** t * (l - t) ** (l - t) <= l ** l
+    lhs, rhs, ok = _stirling(l, t, comb(l, t), l * log(l))
     return BoundCheck(name="stirling-binomial", lhs=lhs, rhs=rhs, ok=ok,
                       params={"l": l, "t": t})
+
+
+def _stirling(l: int, t: int, c: int, a: float) -> tuple:
+    """(lhs, rhs, ok) of stirling_binomial_bound from c = C(l,t) and a = l log l."""
+    lhs = log(c)
+    rhs = a - t * log(t) - (l - t) * log(l - t)
+    return lhs, rhs, (rhs - lhs > _LOG_SCREEN * (a + lhs + 1)
+                      or c * t ** t * (l - t) ** (l - t) <= l ** l)
+
+
+def stirling_row(l: int, t_max: int):
+    """stirling_binomial_bound(l, t) for t = 1, ..., t_max as (lhs, rhs, ok)."""
+    if not (0 <= t_max and 2 * t_max < l):
+        raise ValueError("comparison is stated for 1 <= t < l/2")
+    a, c = l * log(l), l
+    for t in range(1, t_max + 1):
+        yield _stirling(l, t, c, a)
+        c = c * (l - t) // (t + 1)
 
 
 def entropy_bound(l: int, t: int, tau: float, *, enforce: bool = True) -> BoundCheck:
@@ -146,14 +175,41 @@ def entropy_bound(l: int, t: int, tau: float, *, enforce: bool = True) -> BoundC
         raise ValueError("need 0 <= t <= l")
     if tau <= 0:
         raise ValueError("tau must be positive")
-    kappa = t / l
-    kappa0 = exp(-1.0 / tau)
-    if enforce and kappa > kappa0:
-        raise ValueError(f"kappa = {kappa:.6g} exceeds kappa0(tau) = {kappa0:.6g}")
-    lhs = log(comb(l, t)) if t else 0.0
-    rhs = l * (1 + tau) * kappa * log(1 / kappa) if t else 0.0
-    return BoundCheck(name="binomial-entropy", lhs=lhs, rhs=rhs, ok=lhs <= rhs,
+    if enforce:
+        _check_kappa(l, t, tau)
+    lhs, rhs, ok = _entropy(l, t, comb(l, t), l * (1 + tau))
+    return BoundCheck(name="binomial-entropy", lhs=lhs, rhs=rhs, ok=ok,
                       params={"l": l, "t": t, "tau": tau})
+
+
+def _check_kappa(l: int, t: int, tau: float):
+    kappa, kappa0 = t / l, exp(-1.0 / tau)
+    if kappa > kappa0:
+        raise ValueError(f"kappa = {kappa:.6g} exceeds kappa0(tau) = {kappa0:.6g}")
+
+
+def _entropy(l: int, t: int, c: int, scale: float) -> tuple:
+    """(lhs, rhs, ok) of entropy_bound from c = C(l,t) and scale = l (1+tau)."""
+    if not t:
+        return 0.0, 0.0, True
+    kappa = t / l
+    lhs = log(c)
+    rhs = scale * kappa * log(1 / kappa)
+    return lhs, rhs, lhs <= rhs
+
+
+def entropy_row(l: int, t_max: int, tau: float):
+    """entropy_bound(l, t, tau) for t = 0, ..., t_max as (lhs, rhs, ok); the
+    kappa gate is checked at t_max, the row's largest kappa."""
+    if not (0 <= t_max <= l and l >= 1):
+        raise ValueError("need 0 <= t <= l")
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    _check_kappa(l, t_max, tau)
+    scale, c = l * (1 + tau), 1
+    for t in range(t_max + 1):
+        yield _entropy(l, t, c, scale)
+        c = c * (l - t) // (t + 1)
 
 
 def prefactor_bound(l: int, t: int) -> BoundCheck:
@@ -166,9 +222,24 @@ def prefactor_bound(l: int, t: int) -> BoundCheck:
     """
     if l < 1 or t < 1:
         raise ValueError("need l >= 1 and t >= 1")
+    lhs, rhs, ok = _prefactor((4 * l + 1) ** 2, 16 * l * l, t)
+    return BoundCheck(name="pattern-prefactor", lhs=lhs, rhs=rhs, ok=ok,
+                      params={"l": l, "t": t})
+
+
+def _prefactor(num: int, den: int, t: int) -> tuple:
+    """(lhs, rhs, ok) of prefactor_bound from num = (4l+1)^2 and den = 16 l^2."""
+    return num / den, t * 314159 / 100000, num * 100000 <= den * t * 314159
+
+
+def prefactor_row(l: int, t_max: int):
+    """prefactor_bound(l, t) for t = 1, ..., t_max as (lhs, rhs, ok); lhs
+    depends on l alone and rhs on t alone."""
+    if l < 1:
+        raise ValueError("need l >= 1 and t >= 1")
     num, den = (4 * l + 1) ** 2, 16 * l * l
-    return BoundCheck(name="pattern-prefactor", lhs=num / den, rhs=t * 314159 / 100000,
-                      ok=num * 100000 <= den * t * 314159, params={"l": l, "t": t})
+    for t in range(1, t_max + 1):
+        yield _prefactor(num, den, t)
 
 
 # -------------------------------------------------- depth/parameter caps
@@ -237,7 +308,25 @@ def lemma_cell_bound(l: int, t: int, mu: float) -> BoundCheck:
         raise ValueError("need 1 <= t <= l")
     if not 0 < mu < 1:
         raise ValueError("need 0 < mu < 1")
-    lhs = log(comb(l, t - 1)) if t > 1 else 0.0
-    rhs = (13.0 / 32.0) * mu * l
+    lhs, rhs, ok = _lemma(t, comb(l, t - 1), (13.0 / 32.0) * mu * l)
     return BoundCheck(name="cell-count-vs-volume", lhs=lhs, rhs=rhs,
-                      ok=lhs <= rhs, params={"l": l, "t": t, "mu": mu})
+                      ok=ok, params={"l": l, "t": t, "mu": mu})
+
+
+def _lemma(t: int, c: int, rhs: float) -> tuple:
+    """(lhs, rhs, ok) of lemma_cell_bound from c = C(l,t-1) and rhs = (13/32) mu l."""
+    lhs = log(c) if t > 1 else 0.0
+    return lhs, rhs, lhs <= rhs
+
+
+def lemma_row(l: int, t_max: int, mu: float):
+    """lemma_cell_bound(l, t, mu) for t = 1, ..., t_max as (lhs, rhs, ok);
+    rhs depends on l and mu alone."""
+    if not (0 <= t_max <= l):
+        raise ValueError("need 1 <= t <= l")
+    if not 0 < mu < 1:
+        raise ValueError("need 0 < mu < 1")
+    rhs, c = (13.0 / 32.0) * mu * l, 1
+    for t in range(1, t_max + 1):
+        yield _lemma(t, c, rhs)
+        c = c * (l - t + 1) // t

@@ -6,6 +6,8 @@ from math import comb, exp, log
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repeller_lab import bounds
 from repeller_lab.bounds import (
@@ -14,10 +16,14 @@ from repeller_lab.bounds import (
     delta_peak,
     depth_threshold,
     entropy_bound,
+    entropy_row,
     lemma_cell_bound,
+    lemma_row,
     lt_constraints,
     prefactor_bound,
+    prefactor_row,
     stirling_binomial_bound,
+    stirling_row,
 )
 
 
@@ -99,15 +105,17 @@ _ACCEPTANCE_CELLS = 249_500
 
 
 def test_stirling_screen_matches_big_integers_on_acceptance_grid():
+    # the scalar function and the row walk, each against the exact verdict
     powers = [k ** k for k in range(1001)]
+    rows = {l: [ok for _, _, ok in stirling_row(l, (l - 1) // 2)] for l in range(2, 1001)}
     mismatched, cells = [], 0
     for l, t in _acceptance_grid():
         c = l if t == 1 else c * (l - t + 1) // t  # C(l, t) from C(l, t-1)
         exact = c * powers[t] * powers[l - t] <= powers[l]
         cells += 1
-        if stirling_binomial_bound(l, t).ok != exact:
+        if stirling_binomial_bound(l, t).ok != exact or rows[l][t - 1] != exact:
             mismatched.append((l, t))
-    assert cells == _ACCEPTANCE_CELLS
+    assert cells == sum(map(len, rows.values())) == _ACCEPTANCE_CELLS
     assert not mismatched
 
 
@@ -117,6 +125,9 @@ def test_stirling_fallback_agrees_with_screen(monkeypatch):
     screened = [stirling_binomial_bound(l, t) for l, t in cells]
     monkeypatch.setattr(bounds, "_LOG_SCREEN", float("inf"))
     assert [stirling_binomial_bound(l, t) for l, t in cells] == screened
+    walked = [(lhs, rhs, ok) for l in range(3, 1001, 37)
+              for lhs, rhs, ok in list(stirling_row(l, (l - 1) // 2))[::5]]
+    assert walked == [(chk.lhs, chk.rhs, chk.ok) for chk in screened]
     assert len(cells) > 1000 and all(chk.ok for chk in screened)
 
 
@@ -131,6 +142,53 @@ def test_prefactor_matches_fractions_on_acceptance_grid():
             mismatched.append((l, t))
     assert cells == _ACCEPTANCE_CELLS
     assert not mismatched
+
+
+def _bits(lhs, rhs, ok):
+    return lhs.hex(), rhs.hex(), ok
+
+
+def _checks_bits(checks):
+    return [_bits(chk.lhs, chk.rhs, chk.ok) for chk in checks]
+
+
+@settings(max_examples=25, deadline=None)
+@given(l=st.integers(2, 5000))
+def test_stirling_and_prefactor_rows_match_scalar_calls(l):
+    # a row walk steps C(l, t) exactly, so every float keeps its bits;
+    # 5000 is the grids' exactness cap
+    t_max = (l - 1) // 2
+    assert [_bits(*cell) for cell in stirling_row(l, t_max)] == _checks_bits(
+        stirling_binomial_bound(l, t) for t in range(1, t_max + 1))
+    assert [_bits(*cell) for cell in prefactor_row(l, t_max)] == _checks_bits(
+        prefactor_bound(l, t) for t in range(1, t_max + 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(l=st.integers(1, 5000), tau=st.sampled_from((0.3, 0.5, 1.0, 1.7, 4.1)))
+def test_entropy_rows_match_scalar_calls(l, tau):
+    t_max = int(l * exp(-1.0 / tau))  # the driver's row: every kappa up to kappa0
+    assert [_bits(*cell) for cell in entropy_row(l, t_max, tau)] == _checks_bits(
+        entropy_bound(l, t, tau) for t in range(t_max + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), l=st.integers(1, 20_000),
+       mu=st.sampled_from((0.01, 0.02, 0.05, 0.1, 0.5)))
+def test_lemma_rows_match_scalar_calls(data, l, mu):
+    # past the block cap too, up to 400 cells a row
+    t_max = data.draw(st.integers(0, min(l, 400)), label="t_max")
+    assert [_bits(*cell) for cell in lemma_row(l, t_max, mu)] == _checks_bits(
+        lemma_cell_bound(l, t, mu) for t in range(1, t_max + 1))
+
+
+def test_rows_reject_what_the_scalar_calls_reject():
+    for row, message in ((stirling_row(10, 5), "l/2"), (prefactor_row(0, 3), "l >= 1"),
+                         (entropy_row(100, 37, 1.0), "kappa0"), (entropy_row(10, 3, 0.0), "tau"),
+                         (lemma_row(5, 6, 0.1), "t <= l"), (lemma_row(5, 2, 1.0), "mu")):
+        with pytest.raises(ValueError, match=message):
+            list(row)
+    assert list(stirling_row(2, 0)) == list(entropy_row(1, 0, 1.0))[1:] == []
 
 
 def test_stirling_binomial_rejects_large_t():

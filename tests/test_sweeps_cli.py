@@ -1,5 +1,6 @@
 """Tests for config parsing, SVG rendering, sweep drivers, and the CLI."""
 
+import hashlib
 import json
 import os
 import re
@@ -480,10 +481,24 @@ def test_bounds_stream_matches_listed_rows(tmp_path, capsys):
     assert (tmp_path / "b" / "bounds.json").read_bytes() == summary
     lines = (tmp_path / "b" / "bounds.csv").read_text().splitlines(keepends=True)
     assert lines[-len(rows):] == [_csv_line(r, _BOUND_COLUMNS) for r in rows]
-    # one log note per sub-suite, with its cells and seconds
-    notes = re.findall(r": (\d+) cells in \d+\.\d\ds$",
+    # one log note per sub-suite, with its cells and its wall and CPU seconds
+    notes = re.findall(r": (\d+) cells in \d+\.\d\ds wall, \d+\.\d\ds cpu$",
                        (tmp_path / "b" / "bounds.log").read_text(), re.M)
     assert len(notes) == 5 and sum(map(int, notes)) == len(rows)
+
+
+def test_default_bounds_output_is_pinned(tmp_path, monkeypatch, capsys):
+    # the benchmark's golden digests cover only a cut-down grid; these were
+    # recorded from the per-cell loop that the row walks replaced
+    monkeypatch.chdir(tmp_path)
+    assert cmd_bounds({"out": "out"}) == 0
+    assert "BOUNDS: PASS (686185 cells, 0 failures" in capsys.readouterr().out
+    digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+               for name in ("bounds.csv", "bounds.json")}
+    assert digests == {
+        "bounds.csv": "20fa66b7a01a742bdf8f2cbb0dc18b1a9a3e652ab389ae927b5e60f297f3e687",
+        "bounds.json": "e32442363228219a2077ae867af226323fa1b93519856e12bf08f2a02fadccf4",
+    }
 
 
 def test_bounds_memory_stays_flat(tmp_path):
