@@ -2,8 +2,8 @@
 A tour of the map families
 ==========================
 
-Four families live in this package, all sharing one protocol (step,
-jacobian data, hole membership, symbolic itineraries where available):
+Four families live in this package, all sharing one protocol (step and
+hole membership; jacobian data and symbolic itineraries where available):
 
 * ``tripling``   -- the middle-thirds toy, everything exact;
 * ``hopf2d``     -- a planar map losing an invariant circle at mu = 0;

@@ -48,8 +48,9 @@ def _walk(system: MapWithHoles, n: int, excess, max_words: int, *, file_cut: boo
     ``excess(j, total)`` is cut and not extended; with ``file_cut`` it is
     also filed under ``cut_words[j - 1]``, else only counted, as there
     are far more cut words than leaves.  Uncut prefixes reaching depth n
-    are the leaves; the rest are expanded along ``allowed_after``.  The
-    walk stops (capped) once more than ``max_words`` leaves exist.
+    are the leaves; the rest are expanded by every symbol, as every branch
+    is full.  The walk stops (capped) once more than ``max_words`` leaves
+    exist.
     Returns ``(cut_words, least, pruned, leaves, expanded, capped)`` with
     every word a tuple of ints, ``cut_words`` None unless filed, and
     ``least`` the smallest excess of a filed word (None if none is filed).
@@ -79,8 +80,8 @@ def _walk(system: MapWithHoles, n: int, excess, max_words: int, *, file_cut: boo
                 break
         else:
             expanded += 1
-            for s in system.allowed_after(last):
-                stack.append((word, s, total + floors[s]))
+            for s, floor in enumerate(floors):
+                stack.append((word, s, total + floor))
     least = least if least < math.inf else None
     return cut_words, least, pruned, leaves, expanded, capped
 
@@ -130,6 +131,12 @@ def enumerate_slow_words(system: MapWithHoles, n: int, threshold=None, *,
 
 # ------------------------------------------------------------ measurement
 
+def _binomial_halfwidth(p, samples: int) -> float:
+    """99% half-width of a Monte Carlo fraction p over ``samples`` draws:
+    the normal binomial approximation, floored at 5.3/N."""
+    return float(max(2.576 * np.sqrt(p * (1 - p) / samples), 5.3 / samples))
+
+
 def measure_slow_fractions(system: MapWithHoles, n_values, threshold=None, *,
                            samples: int = 100_000, seed: int = 0) -> dict:
     """Monte Carlo volume of the slow set at each requested depth.
@@ -162,8 +169,7 @@ def measure_slow_fractions(system: MapWithHoles, n_values, threshold=None, *,
     out = {}
     for n in n_values:
         p = slow[n] / samples
-        half = max(2.576 * np.sqrt(p * (1 - p) / samples), 5.3 / samples)
-        out[n] = (float(p), float(half))
+        out[n] = (float(p), _binomial_halfwidth(p, samples))
     return out
 
 

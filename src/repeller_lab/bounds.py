@@ -34,12 +34,14 @@ from math import ceil, comb, exp, log
 
 __all__ = [
     "BoundCheck",
+    "block_cap",
     "count_patterns",
     "delta_bound",
     "delta_peak",
     "depth_threshold",
     "entropy_bound",
     "entropy_row",
+    "fast_letter_cap",
     "lemma_cell_bound",
     "lemma_row",
     "lt_constraints",
@@ -244,6 +246,16 @@ def prefactor_row(l: int, t_max: int):
 
 # -------------------------------------------------- depth/parameter caps
 
+def block_cap(mu: float) -> float:
+    """Largest admissible block fraction t/l at parameter mu: mu/(-4 log mu)."""
+    return mu / (-4.0 * log(mu))
+
+
+def fast_letter_cap(mu: float, sigma: float) -> float:
+    """Largest admissible fast-letter fraction (n-l)/l: mu/(8 log sigma)."""
+    return mu / (8.0 * log(sigma))
+
+
 def lt_constraints(n: int, l: int, t: int, mu: float, sigma: float) -> tuple:
     """Admissibility caps tying excursions to the parameter.
 
@@ -254,8 +266,8 @@ def lt_constraints(n: int, l: int, t: int, mu: float, sigma: float) -> tuple:
         raise ValueError("need 1 <= l < n and t >= 1")
     if not (0 < mu < 1 and sigma > 1):
         raise ValueError("need 0 < mu < 1 and sigma > 1")
-    cap_outside = mu / (8.0 * log(sigma))
-    cap_blocks = mu / (-4.0 * log(mu))
+    cap_outside = fast_letter_cap(mu, sigma)
+    cap_blocks = block_cap(mu)
     outside = BoundCheck(name="fast-letter-fraction", lhs=(n - l) / l,
                          rhs=cap_outside, ok=(n - l) / l <= cap_outside,
                          params={"n": n, "l": l, "mu": mu, "sigma": sigma})
@@ -271,7 +283,7 @@ def delta_bound(n: int, mu: float) -> float:
         raise ValueError("envelope needs 0 < mu < 1")
     if n < 1:
         raise ValueError("depth must be at least 1")
-    return mu / (-4.0 * log(mu)) * n * n * exp(-mu * n / 4.0)
+    return block_cap(mu) * n * n * exp(-mu * n / 4.0)
 
 
 def delta_peak(mu: float) -> float:

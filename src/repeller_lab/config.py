@@ -24,6 +24,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .bounds import block_cap
 from .families import (DiazVianaFamily, HopfModel2D, HopfModel3D, LinearToy2D,
                        TriplingToy)
 from .geometry import MAX_GRID_SIDE
@@ -257,8 +258,7 @@ class BoundsConfig(View):
     """Settings of the exact bound suite (``bounds``); ``grids`` are clipped.
 
     Each grid must reach its first cell: a sub-suite that checks nothing
-    cannot pass.  The lemma grid has a cell at mu once l * cap(mu) >= 1,
-    where cap(mu) = mu / (-4 log mu) is the letter cap.
+    cannot pass.  The lemma grid has a cell at mu once l * block_cap(mu) >= 1.
     """
 
     def __init__(self, cfg: dict):
@@ -277,7 +277,7 @@ class BoundsConfig(View):
                                               lo=0, hi=1, strict=True),
                          sigma=read(cfg, "sigma", float, math.sqrt(10.0), lo=1, strict=True))
         for mu in self.lemma_mu_values:
-            if int(mu / (-4.0 * math.log(mu)) * grids["lemma_l_max"]) < 1:
+            if int(block_cap(mu) * grids["lemma_l_max"]) < 1:
                 raise ConfigError(f"lemma_l_max = {grids['lemma_l_max']} checks no lemma cell "
                                   f"at mu = {mu!r}; it needs at least "
                                   f"{math.ceil(-4.0 * math.log(mu) / mu)}")

@@ -12,8 +12,8 @@ The spatial model does the same on T^3 with the companion matrix of
 x^3 + 10x - 1 (determinant one, a real eigenvalue ~0.0999 and a complex
 expanding pair of modulus ~3.1639): the deformation acts on the expanding
 plane in eigencoordinates and is blended away in the contracting
-direction.  It exposes the step, the Jacobian and the trap, but no
-symbolic coding, so only escape-time drivers apply to it.
+direction.  It exposes the step and the trap only, with no symbolic
+coding and no derivative, so only escape-time drivers apply to it.
 
 The one-dimensional families are the tripling map with the middle-thirds
 hole, and a degree-two circle covering with a hole segment shrinking like
@@ -339,8 +339,8 @@ class HopfModel3D:
     complex pair; the radial profile dips the expanding plane's factor
     near the origin exactly as in the planar model, with the deformation
     blended away in the contracting direction so it stays compactly
-    supported.  Exposes forward dynamics, derivative norms, and the
-    trapping region; no symbolic coding (escape-time box counting only).
+    supported.  Exposes the step and the trapping region only: no
+    symbolic coding and no derivative (escape-time box counting only).
     """
 
     d = 3
@@ -362,7 +362,7 @@ class HopfModel3D:
 
         self.profile = build_phi(self.mu, self.sigma, delta0, delta1, sigma1,
                                  slope=slope, quad=quad)
-        self.delta0, self.delta1 = delta0, delta1
+        self.delta0 = delta0
         self.rho_inv = circle_radius(self.profile)
 
     def _certify_spectrum(self):
@@ -387,31 +387,9 @@ class HopfModel3D:
         c, w, z = self._coords(points)
         inside = np.flatnonzero((w < self.delta0) & (np.abs(z) < self.delta0))
         if len(inside):
-            val, _, _ = profile_3d(self.profile, w[inside], z[inside])
+            val = profile_3d(self.profile, w[inside], z[inside])
             c[inside, :2] = c.take(inside, axis=0)[:, :2] * (val / self.sigma)[:, None]
         return wrap(c @ self.PM.T)
-
-    def jacobian_matrices(self, points):
-        c, w, z = self._coords(points)
-        val, dw, dz = profile_3d(self.profile, w, z)
-        outside = (w >= self.delta0) | (np.abs(z) >= self.delta0)
-        val = np.where(outside, self.sigma, val)
-        dw = np.where(outside, 0.0, dw)
-        dz = np.where(outside, 0.0, dz)
-        n = len(c)
-        dh = np.zeros((n, 3, 3))
-        s = val / self.sigma
-        for i in (0, 1):
-            for j in (0, 1):
-                dh[:, i, j] = (2 * dw / self.sigma) * c[:, i] * c[:, j]
-            dh[:, i, i] += s
-            dh[:, i, 2] = (dz / self.sigma) * c[:, i]
-        dh[:, 2, 2] = 1.0
-        return self.PM @ dh @ self.P_inv
-
-    def deriv_inverse_norm(self, points):
-        sv = np.linalg.svd(self.jacobian_matrices(points), compute_uv=False)
-        return 1.0 / sv[:, -1]
 
     def default_trap(self) -> "TrapRegion":
         return cylinder_trap(self)

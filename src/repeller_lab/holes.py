@@ -167,9 +167,11 @@ def _bitwise_duplicates(pos):
 class MapWithHoles:
     """Interface for branch-indexed expanding maps with holes.
 
-    Concrete subclasses must set the attributes below and implement the
-    evaluator methods.  All point-valued methods are vectorized over an
-    (N, d) array of torus points in [0,1)^d and must be pure.
+    Every branch is full (it maps its domain onto the whole space), so
+    any word of symbols 0..n_branches-1 is admissible.  Concrete
+    subclasses must set the attributes below and implement the evaluator
+    methods.  All point-valued methods are vectorized over an (N, d)
+    array of torus points in [0,1)^d and must be pure.
 
     Attributes
     ----------
@@ -177,8 +179,6 @@ class MapWithHoles:
     n_branches : number of inverse branches (m + 1 in the usual indexing).
     mu_f : total hole volume (0 when there is no hole).
     S : supremum of the derivative-inverse norm over the domain.
-    adjacency : dict symbol -> allowed successor symbols, or None for a
-        full shift.
     hole : Region for the hole, or None.
     delta_mu : effective parameter at which the depth-volume bound
         delta(n, .) for this family is evaluated (the hole volume rescaled
@@ -189,7 +189,6 @@ class MapWithHoles:
     n_branches: int
     mu_f: float
     S: float
-    adjacency: dict | None = None
     hole: Region | None = None
     delta_mu: float = 0.0
     label: str = "map-with-holes"
@@ -244,11 +243,6 @@ class MapWithHoles:
         """log of the least singular value of Df, i.e. -log ||Df^{-1}||."""
         return -np.log(self.deriv_inverse_norm(points))
 
-    def allowed_after(self, symbol: int) -> tuple:
-        if self.adjacency is None:
-            return tuple(range(self.n_branches))
-        return tuple(self.adjacency[symbol])
-
     def cell_bbox(self, symbol: int) -> np.ndarray:
         """(d, 2) bounding box of the branch domain; the whole torus by default."""
         return np.array([[0.0, 1.0]] * self.d)
@@ -290,20 +284,19 @@ class MapWithHoles:
 
 # ---------------------------------------------------------------- words
 
-def check_word(system: MapWithHoles, word) -> bool:
-    """True when a word's transitions respect the adjacency.
+def check_word(system: MapWithHoles, word) -> tuple:
+    """A word validated and returned as the tuple of ints the package keeps.
 
-    A word is a sequence of branch symbols (a_1, ..., a_n); the package
-    keeps words as tuples of ints.  Raises TypeError for a symbol that is
-    not an integer, and ValueError for an empty word or a symbol outside
-    0..n_branches-1.
+    A word is any sequence of branch symbols (a_1, ..., a_n).  Raises
+    TypeError for a symbol that is not an integer, and ValueError for an
+    empty word or a symbol outside 0..n_branches-1.
     """
     word = tuple(map(operator.index, word))
     if not word:
         raise ValueError("word must be nonempty")
     if min(word) < 0 or max(word) >= system.n_branches:
         raise ValueError(f"word symbol out of range for {system.n_branches} branches")
-    return all(b in system.allowed_after(a) for a, b in zip(word, word[1:]))
+    return word
 
 
 # ------------------------------------------------------------- geometry
@@ -350,14 +343,6 @@ class CylinderGeometry:
         return have[at] == want
 
 
-def _empty_geometry(word: tuple, base: int, k: int, d: int) -> CylinderGeometry:
-    return CylinderGeometry(word=word, base=base, k=k,
-                            boxes=np.empty((0, d), dtype=np.int64),
-                            certified=np.empty(0, dtype=bool),
-                            witnesses=np.empty((0, d)),
-                            vol_lo=0.0, vol_hi=0.0, empty=True)
-
-
 # refine_cylinder's block screen drops a block whose center margin is
 # below -(R (1 + _SCREEN_REL) + _SCREEN_ABS), R the block's half-diagonal;
 # refine_cylinder derives that this covers the rounding.
@@ -400,14 +385,12 @@ def pullback_witness_batch(system: MapWithHoles, words, *, targets: int = 12,
     longest word length then keeps the rows whose prefix reproduces their
     own word.  Every row's arithmetic is elementwise, so each word gets
     the same points, bit for bit, as if it were pulled back alone.
-    Returns one (N_i, d) array per word, in input order; a word that
-    violates the adjacency gets none.
+    Returns one (N_i, d) array per word, in input order.  Each word goes
+    through ``check_word`` first.
     """
-    words = [tuple(map(operator.index, w)) for w in words]
+    words = [check_word(system, w) for w in words]
     batches, owners = [np.empty((0, system.d))], [np.empty(0, dtype=np.int64)]
     for i, (word, seed) in enumerate(zip(words, seeds)):
-        if not check_word(system, word):
-            continue
         pts = system.sample_cell(word[-1], targets, seed)
         batches.append(pts[~system.in_hole(pts)] if len(pts) else pts)
         owners.append(np.full(len(batches[-1]), i, dtype=np.int64))
@@ -484,18 +467,14 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
     box is evaluated as a batch of two copies of itself, because a lone
     row's BLAS product rounds differently (see ``first_entry``).
 
-    A geometrically empty cylinder (adjacency-violating word, or cover and
-    witness search both coming up empty) is returned as an explicit empty
-    marker, not an error.  The word is any sequence of integer symbols
-    (TypeError otherwise); ``check_word`` rejects it if empty or out of
-    range.
+    A geometrically empty cylinder (cover and witness search both coming
+    up empty) is returned as an explicit empty marker, not an error.  The
+    word goes through ``check_word``: any sequence of integer symbols in
+    range, nonempty.
     """
-    word = tuple(map(operator.index, word))
+    word = check_word(system, word)
     base, k = scale_to_base(resolution)
     eps = base ** -k
-    if not check_word(system, word):
-        return _empty_geometry(word, base, k, system.d)
-
     r0 = 0.5 * eps * np.sqrt(system.d)
     idx, centers, total = _candidate_centers(system, word[0], base, k)
     if len(idx) == 1 < total:
@@ -522,14 +501,11 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
         inside = inside[keep] & (margins >= rad)
 
     witnesses = pullback_witnesses(system, word, targets=witness_targets, seed=seed)
-    if len(idx) == 0 and len(witnesses) == 0:
-        return _empty_geometry(word, base, k, system.d)
-
     geometry = CylinderGeometry(word=word, base=base, k=k, boxes=idx,
                                 certified=inside, witnesses=witnesses,
                                 vol_lo=float(inside.sum()) * eps ** system.d,
                                 vol_hi=float(len(idx)) * eps ** system.d,
-                                empty=False)
+                                empty=len(idx) == 0 and len(witnesses) == 0)
     if len(witnesses) and not geometry.covers(witnesses).all():
         raise RuntimeError("outer cover does not contain a verified witness: "
                            "certification bookkeeping is inconsistent")

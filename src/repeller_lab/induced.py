@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .badsets import CrossingPartition, sn_partition, _resolve_threshold
+from .badsets import CrossingPartition, sn_partition, _binomial_halfwidth, _resolve_threshold
 from .bounds import delta_bound
 from .holes import MapWithHoles, propagate, pullback_witness_batch
 from .holes import pullback_witnesses  # noqa: F401  (perfbench/spans.py patches it here by name)
@@ -209,8 +209,7 @@ def induced_hole_volume(expander: InducedExpander, *, samples: int = 100_000,
     pts = rng.random((samples, system.d))
     _, _, ok = expander.apply(pts)
     measured = float(1.0 - ok.mean())
-    half = float(max(2.576 * np.sqrt(measured * (1 - measured) / samples),
-                     5.3 / samples))
+    half = _binomial_halfwidth(measured, samples)
 
     mu_f = max(float(system.mu_f), 0.0)  # no hole -> zero bound
     delta = delta_bound(expander.n, system.delta_mu) if mu_f > 0 else 0.0

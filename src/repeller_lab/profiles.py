@@ -254,32 +254,23 @@ def circle_radius(profile: PhiProfile) -> float:
 def vertical_ramp(zabs, delta0: float):
     """Smooth 0→1 ramp in |z| supported on [0.6 delta0, delta0].
 
-    Returns (ramp, d ramp/d|z|).  The ramp vanishes identically below
-    0.6 delta0 so that vertical dynamics inside the trapping slab are
-    unaffected by the blending.
+    The ramp vanishes identically below 0.6 delta0 so that vertical
+    dynamics inside the trapping slab are unaffected by the blending.
     """
     zabs = np.asarray(zabs, dtype=float)
     lo = 0.6 * delta0
     width = 0.4 * delta0
     s = np.clip((zabs - lo) / width, 0.0, 1.0)
-    ramp = s * s * (3 - 2 * s)
-    dramp = np.where((zabs > lo) & (zabs < delta0), 6 * s * (1 - s) / width, 0.0)
-    return ramp, dramp
+    return s * s * (3 - 2 * s)
 
 
 def profile_3d(profile: PhiProfile, w, z):
-    """Vertically blended multiplier Phi3(w, z) with both partials.
+    """Vertically blended multiplier Phi3(w, z).
 
     Phi3 = Phi(w) + ramp(|z|) (sigma - Phi(w)): equal to Phi near the
     z = 0 plane and saturating to sigma for |z| >= delta0, keeping the
     deformation compactly supported in the vertical direction too.
     """
-    w = np.asarray(w, dtype=float)
-    z = np.asarray(z, dtype=float)
-    ramp, dramp = vertical_ramp(np.abs(z), profile.delta0)
+    ramp = vertical_ramp(np.abs(z), profile.delta0)
     base = profile.value(w)
-    dbase = profile.derivative(w)
-    val = base + ramp * (profile.sigma - base)
-    dw = (1 - ramp) * dbase
-    dz = dramp * (profile.sigma - base) * np.sign(z)
-    return val, dw, dz
+    return base + ramp * (profile.sigma - base)

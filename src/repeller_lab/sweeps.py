@@ -30,9 +30,9 @@ from .badsets import a2_report
 # The per-cell bound functions are imported beside their row walks because
 # perfbench/spans.py traces them by name at this call site; the driver
 # itself calls only entropy_bound, for the sharpness probe.
-from .bounds import (count_patterns, delta_bound, depth_threshold,
-                     entropy_bound, entropy_row, lemma_cell_bound, lemma_row,
-                     lt_constraints, prefactor_bound, prefactor_row,
+from .bounds import (block_cap, count_patterns, delta_bound, depth_threshold,
+                     entropy_bound, entropy_row, fast_letter_cap, lemma_cell_bound,
+                     lemma_row, lt_constraints, prefactor_bound, prefactor_row,
                      stirling_binomial_bound, stirling_row)
 from .config import (KNOWN_FAMILIES, A2Config, BoundsConfig, ConfigError,
                      InducedConfig, SweepConfig, config_hash, config_header,
@@ -342,7 +342,7 @@ def _bound_lines(suite: BoundsConfig, run: _Run, tally: _BoundTally):
 
     lemma_l = suite.grids["lemma_l_max"]
     for mu in suite.lemma_mu_values:
-        cap, mu_s = mu / (-4.0 * math.log(mu)), repr(mu)
+        cap, mu_s = block_cap(mu), repr(mu)
         for l in range(1, lemma_l + 1):
             t_max, rhs_s = int(cap * l), ""  # rhs_s: (13/32) mu l, formatted
             for t, (lhs, rhs, ok) in enumerate(lemma_row(l, t_max, mu), 1):
@@ -356,8 +356,8 @@ def _bound_lines(suite: BoundsConfig, run: _Run, tally: _BoundTally):
     for mu in (0.02, 0.05, 0.1):
         # largest admissible cell at l = 1000 under both letter caps
         l = 1000
-        n = l + max(1, int(mu / (8.0 * math.log(suite.sigma)) * l))
-        t = max(1, int(mu / (-4.0 * math.log(mu)) * l))
+        n = l + max(1, int(fast_letter_cap(mu, suite.sigma) * l))
+        t = max(1, int(block_cap(mu) * l))
         for check, bc in zip(("lt-outside", "lt-blocks"),
                              lt_constraints(n, l, t, mu, suite.sigma)):
             verdict = "pass" if bc.ok else tally.flag(

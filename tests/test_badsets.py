@@ -207,9 +207,7 @@ def bfs_partition(system, n, threshold):
     for depth in range(1, n + 1):
         new_frontier = []
         for word, acc in frontier:
-            symbols = (range(system.n_branches) if not word
-                       else system.allowed_after(word[-1]))
-            for s in symbols:
+            for s in range(system.n_branches):
                 acc2 = acc + floors[s]
                 if acc2 > depth * threshold:
                     groups[depth - 1].append(word + (s,))

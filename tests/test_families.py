@@ -1,5 +1,7 @@
 """Tests for the concrete map families."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -393,7 +395,7 @@ def test_spatial_step_matches_modulo_form_bitwise():
         w, z = c[:, 0] ** 2 + c[:, 1] ** 2, c[:, 2]
         inside = (w < model.delta0) & (np.abs(z) < model.delta0)
         scale = np.ones(len(c))
-        scale[inside] = profile_3d(model.profile, w[inside], z[inside])[0] / model.sigma
+        scale[inside] = profile_3d(model.profile, w[inside], z[inside]) / model.sigma
         return (c * np.stack([scale, scale, np.ones(len(c))], axis=1) @ model.PM.T) % 1.0
 
     rng = np.random.default_rng(37)
@@ -607,8 +609,11 @@ def test_spatial_step_matches_linear_action_far_out():
 
 
 def test_spatial_origin_block_structure_at_bifurcation():
+    # the step's Jacobian at the origin: the terms carrying the profile's
+    # partials vanish there, leaving diag(s, s, 1) in eigencoordinates
     model = HopfModel3D(0.0)
-    J = model.jacobian_matrices(np.array([[0.0, 0.0, 0.0]]))[0]
+    s = profile_3d(model.profile, 0.0, 0.0) / model.sigma
+    J = model.PM @ np.diag([s, s, 1.0]) @ model.P_inv
     local = model.P_inv @ J @ model.P
     rot = local[:2, :2]
     # radial block is a pure rotation (neutral factor Phi(0) = 1)
@@ -618,13 +623,21 @@ def test_spatial_origin_block_structure_at_bifurcation():
     assert np.allclose(local[2, :2], 0.0, atol=1e-12)
 
 
-def test_spatial_jacobian_matches_finite_differences():
-    model = HopfModel3D(0.1)
-    pts = np.array([[0.05, 0.03, 0.004], [0.02, 0.01, 0.015], [0.4, 0.7, 0.2]])
-    J = model.jacobian_matrices(pts)
-    for k, p in enumerate(pts):
-        assert np.allclose(J[k], finite_difference_jacobian(model, p),
-                           rtol=1e-4, atol=1e-4)
+def test_spatial_step_and_survivors_are_pinned_bitwise():
+    # hopf3d has no benchmark digest, so this pins its step and survivor
+    # grid.  1123 of the 2000 points drawn near the origin lie where
+    # profile_3d deforms the step, 449 of them on the vertical ramp, so
+    # reordering profile_3d's arithmetic changes the digest.
+    rng = np.random.default_rng(2026)
+    near = rng.uniform(-1.0, 1.0, (2000, 3)) * np.array([0.15, 0.15, 0.025])
+    pts = np.concatenate([rng.random((2000, 3)), wrap(near @ HopfModel3D(0.1).P.T)])
+    digest = hashlib.sha256()
+    for mu in (0.1, 0.01, -0.05):
+        model = HopfModel3D(mu)
+        digest.update(model.step(pts).tobytes())
+        digest.update(survivor_grid(model, 32, 30).tobytes())
+    assert digest.hexdigest() == \
+        "def8282a0166c324077ef6f8d47a2d0fe7b91d56e9c4126c494df956f20949a0"
 
 
 def test_spatial_survivors_without_attractor():

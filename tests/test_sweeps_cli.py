@@ -14,7 +14,8 @@ import pytest
 
 import repeller_lab
 from repeller_lab.cli import main
-from repeller_lab.config import (KNOWN_FAMILIES, ConfigError, SweepConfig,
+from repeller_lab import sweeps
+from repeller_lab.config import (KNOWN_FAMILIES, BoundsConfig, ConfigError, SweepConfig,
                                  config_hash, parse_config, read)
 from repeller_lab.families import HopfModel2D
 from repeller_lab.svgplot import SvgPlot
@@ -528,11 +529,22 @@ def test_bounds_known_false_cell_exits_nonzero(tmp_path, capsys):
                for r in summary["failed"])
 
 
-def test_bounds_cap_violation_reported_as_skipped(tmp_path):
-    cfg = {**_SMALL_BOUNDS, "cp_n_max": 10_000, "out": str(tmp_path / "b")}
-    cmd_bounds(cfg)
+def test_bounds_cap_violation_reported_as_skipped(tmp_path, monkeypatch, capsys):
+    # each grid past its exactness cap is clipped to the cap and listed
+    caps = {"cp_n_max": 200, "st_l_max": 5000, "en_l_max": 5000, "lemma_l_max": 100_000}
+    suite = BoundsConfig({**_SMALL_BOUNDS, **{k: cap + 1 for k, cap in caps.items()}})
+    assert suite.grids == caps
+    assert suite.skipped == [f"{k}={cap + 1} exceeds exactness cap {cap}"
+                             for k, cap in caps.items()]
+    # cmd_bounds reports the view's skipped grids; a tiny grid carrying
+    # them shows that without running the clipped grids in full
+    small = BoundsConfig({**_SMALL_BOUNDS, "out": str(tmp_path / "b")})
+    small.skipped = suite.skipped
+    monkeypatch.setattr(sweeps, "BoundsConfig", lambda cfg: small)
+    assert cmd_bounds({}) == 0
     summary = json.loads((tmp_path / "b" / "bounds.json").read_text())
-    assert any("exceeds exactness cap" in s for s in summary["skipped"])
+    assert summary["skipped"] == suite.skipped
+    assert "4 skipped grids" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------ cmd_a2
