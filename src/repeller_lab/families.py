@@ -51,6 +51,19 @@ def _bisect(fn, target, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _product(p, matrix) -> np.ndarray:
+    """``p @ matrix.T``, with the same bits for a row alone or in a batch.
+
+    OpenBLAS rounds a one-row product in another order than the rows of
+    a larger batch, so a lone row goes through as a batch of two copies
+    of itself and keeps the first.  Every point-row product of the models
+    goes through here, which makes their methods row-wise.
+    """
+    if len(p) == 1:
+        return (np.concatenate([p, p]) @ matrix.T)[:1]
+    return p @ matrix.T
+
+
 # =====================================================================
 # ten-branch torus coding shared by the linear toy and the planar model
 # =====================================================================
@@ -84,7 +97,7 @@ class _TenBranchTorus(MapWithHoles):
     n_branches = 10
 
     def _linear_symbols(self, points) -> np.ndarray:
-        y = centered(points) @ _A2.T
+        y = _product(centered(points), _A2)
         m = np.floor(y + 0.5).astype(np.int64)
         return (3 * m[:, 0] + m[:, 1]) % 10
 
@@ -118,7 +131,7 @@ class _TenBranchTorus(MapWithHoles):
         same float, so the margin equals a brute-force search over all
         representatives bit for bit.
         """
-        y = centered(points) @ _A2.T
+        y = _product(centered(points), _A2)
         m = np.floor(y + 0.5)
         u0, u1 = y[:, 0] - m[:, 0], y[:, 1] - m[:, 1]
         coset = (symbol - (3 * m[:, 0] + m[:, 1]).astype(np.int64)) % 10
@@ -164,7 +177,7 @@ class LinearToy2D(_TenBranchTorus):
     label = "linear-toy-2d"
 
     def step(self, points):
-        return wrap(centered(points) @ _A2.T)
+        return wrap(_product(centered(points), _A2))
 
     def deriv_inverse_norm(self, points):
         return np.full(len(np.atleast_2d(points)), 1.0 / SQRT10)
@@ -207,7 +220,7 @@ class HopfModel2D(_TenBranchTorus):
         self.alpha = float(np.arctan2(1.0, 3.0))
         self.profile = build_phi(self.mu, SQRT10, delta0, delta1, sigma1,
                                  slope=slope, quad=quad)
-        self.delta0, self.delta1 = delta0, delta1
+        self.delta0 = delta0
         self.rho_inv = circle_radius(self.profile)
         self.w_star = self.rho_inv ** 2
         self.mu_f = float(np.pi) * self.rho_inv ** 2
@@ -238,7 +251,7 @@ class HopfModel2D(_TenBranchTorus):
         inside = np.flatnonzero(w < self.delta0)
         scale = self.profile.value(w[inside]) / self.sigma
         p[inside] = p.take(inside, axis=0) * scale[:, None]
-        return wrap(p @ _A2.T)
+        return wrap(_product(p, _A2))
 
     def deriv_inverse_norm(self, points):
         _, w = self._w(points)
@@ -380,7 +393,7 @@ class HopfModel3D:
 
     def _coords(self, points):
         p = centered(np.atleast_2d(points))
-        c = p @ self.P_inv.T
+        c = _product(p, self.P_inv)
         return c, _radius2(c), c[:, 2]
 
     def step(self, points):
@@ -389,7 +402,7 @@ class HopfModel3D:
         if len(inside):
             val = profile_3d(self.profile, w[inside], z[inside])
             c[inside, :2] = c.take(inside, axis=0)[:, :2] * (val / self.sigma)[:, None]
-        return wrap(c @ self.PM.T)
+        return wrap(_product(c, self.PM))
 
     def default_trap(self) -> "TrapRegion":
         return cylinder_trap(self)
@@ -441,7 +454,7 @@ def cylinder_trap(model: HopfModel3D) -> TrapRegion:
         rr = r * np.sqrt(rng.uniform(0, 1, n_cap))
         caps = np.stack([rr * np.cos(theta), rr * np.sin(theta),
                          np.where(rng.random(n_cap) < 0.5, zmax, -zmax)], axis=1)
-        return wrap(np.concatenate([side, caps]) @ model.P.T)
+        return wrap(_product(np.concatenate([side, caps]), model.P))
 
     return TrapRegion(contains=contains, boundary_sample=boundary_sample,
                       empty=r <= 0, label=f"cylinder-trap r={r:.6g} z={zmax:.6g}")

@@ -9,9 +9,8 @@ grids, itineraries, the slow-set Monte Carlo and the induced map all
 iterate their orbits through it.  ``first_entry``, under the escape
 times and survivor grids, steps one orbit for each group of orbits that
 meet bit for bit (dyadic grid centres do, often): exact because ``step``
-and the absorber are row-wise on batches of two rows or more (a lone
-merged row is evaluated as a pair), checked at t = 1, 2, 4, 8, ... and
-no more after a check that finds no two orbits met.
+and the absorber are row-wise, checked at t = 1, 2, 4, 8, ... and no
+more after a check that finds no two orbits met.
 
 Cylinders C(a_1,...,a_n) — the sets of points sharing a branch itinerary —
 are realized two-sidedly:
@@ -74,35 +73,17 @@ def first_entry(step, points, steps: int, absorbed):
     row takes the (survives, entry) at the end of its pointer chain.  The
     first pass that merges nothing ends the passes, so inputs whose orbits
     do not meet pay for one.  This is exact, not approximate, because
-    ``step`` and ``absorbed`` are row-wise (``MapWithHoles`` asks its
-    methods to be vectorized and pure): an output row depends only on its
-    input row, so equal rows have equal futures.  The BLAS products in the
-    2-D and 3-D models' ``step``, and in the 3-D trap's eigencoordinates,
-    are row-wise on batches of two rows or more, but OpenBLAS rounds a
-    lone row's product in another order (the last bit differs for one
-    random row in ten in 2-D), which can move a row across the trap's
-    boundary.  So when merging leaves one active row that stands for
-    several orbits, which the unmerged loop would hold as a batch, that
-    row is stepped and tested as a batch of two copies of itself.
+    ``step`` and ``absorbed`` are row-wise (``MapWithHoles``): an output
+    row depends only on its input row, so equal rows have equal futures.
     """
     survives = np.ones(len(points), dtype=bool)
     entry = np.full(len(points), steps, dtype=np.int64)
     rep = None  # row -> a row it merged into; allocated at the first merge
     next_pass = 1
-    lone = None  # whether the last active row stands for several orbits
-
-    def batched(fn):
-        def call(pos):
-            if lone and len(pos) == 1:
-                return fn(np.concatenate([pos, pos]))[:1]
-            return fn(pos)
-        return call
-
-    absorbed_rows = batched(absorbed)
 
     def visit(t, rows, pos):
-        nonlocal rep, next_pass, lone
-        hit = absorbed_rows(pos)
+        nonlocal rep, next_pass
+        hit = absorbed(pos)
         gone = rows[hit]
         survives[gone] = False
         entry[gone] = t
@@ -116,12 +97,9 @@ def first_entry(step, points, steps: int, absorbed):
                     rep = np.arange(len(points))
                 rep[rows[dup]] = rows[onto]
                 hit[dup] = True
-        if rep is not None and lone is None and len(hit) - np.count_nonzero(hit) == 1:
-            last = rows[np.flatnonzero(~hit)[0]]
-            lone = np.count_nonzero(_chain_ends(rep) == last) > 1
         return hit
 
-    propagate(batched(step), points, steps, visit)
+    propagate(step, points, steps, visit)
     if rep is None:
         return survives, entry
     rep = _chain_ends(rep)
@@ -171,7 +149,9 @@ class MapWithHoles:
     any word of symbols 0..n_branches-1 is admissible.  Concrete
     subclasses must set the attributes below and implement the evaluator
     methods.  All point-valued methods are vectorized over an (N, d)
-    array of torus points in [0,1)^d and must be pure.
+    array of torus points in [0,1)^d, and must be pure and row-wise on
+    every batch size, one row included: an output row has the same bits
+    whatever other rows share its batch.
 
     Attributes
     ----------
@@ -350,9 +330,9 @@ _SCREEN_REL, _SCREEN_ABS = 2.0 ** -30, 2.0 ** -40
 
 
 def _candidate_centers(system: MapWithHoles, symbol: int, base: int, k: int):
-    """``(idx, centers, total)``: the grid boxes that the block screen
-    keeps, of the ``total`` boxes of side base**-k over the branch
-    domain's bounding box, and their centers.
+    """``(idx, centers)``: the grid boxes of side base**-k over the
+    branch domain's bounding box that the block screen keeps, and their
+    centers.
 
     Blocks have base**(k // 2) boxes a side; ``idx`` lists the boxes of
     the blocks kept, in lexicographic order.
@@ -370,7 +350,7 @@ def _candidate_centers(system: MapWithHoles, symbol: int, base: int, k: int):
         mask = mask.repeat(side, axis=axis)
     mask = mask[tuple(slice(a, b) for a, b in zip(lo - first * side, hi - first * side))]
     idx = np.stack(np.unravel_index(np.flatnonzero(mask), mask.shape), axis=-1) + lo
-    return idx, (idx + 0.5) / n, mask.size
+    return idx, (idx + 0.5) / n
 
 
 def pullback_witness_batch(system: MapWithHoles, words, *, targets: int = 12,
@@ -463,9 +443,7 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
     + 2^-40), which is 900 and 600 times further out.  The boxes of the
     kept blocks are then evaluated as one batch in the full grid's
     lexicographic order, so the screen changes no box, flag, witness or
-    volume, bit for bit.  When the screen leaves one box of several, that
-    box is evaluated as a batch of two copies of itself, because a lone
-    row's BLAS product rounds differently (see ``first_entry``).
+    volume, bit for bit.
 
     A geometrically empty cylinder (cover and witness search both coming
     up empty) is returned as an explicit empty marker, not an error.  The
@@ -476,11 +454,8 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
     base, k = scale_to_base(resolution)
     eps = base ** -k
     r0 = 0.5 * eps * np.sqrt(system.d)
-    idx, centers, total = _candidate_centers(system, word[0], base, k)
-    if len(idx) == 1 < total:
-        margins = system.cell_margin(word[0], np.concatenate([centers, centers]))[:1]
-    else:
-        margins = system.cell_margin(word[0], centers)
+    idx, centers = _candidate_centers(system, word[0], base, k)
+    margins = system.cell_margin(word[0], centers)
     # balls are closed: prune only when the transported ball provably
     # misses the cell (margin strictly below -radius), so an exactly
     # touching measure-zero cylinder is never declared empty

@@ -22,7 +22,6 @@ from repeller_lab.holes import (
     pullback_witness_batch,
     pullback_witnesses,
     refine_cylinder,
-    _candidate_centers,
 )
 from repeller_lab.geometry import box_indices, scale_to_base, wrap
 from repeller_lab.induced import InducedExpander, build_induced, verify_expansion
@@ -195,44 +194,6 @@ def test_first_entry_keeps_signed_zeros_apart():
     survives, entry = first_entry(step, pts, 3, absorbed)
     assert survives.tolist() == [True, False, False]
     assert entry.tolist() == [3, 2, 2]
-
-
-def test_first_entry_steps_a_lone_merged_row_as_a_batch():
-    # a step that rounds a lone row differently, as a BLAS product may:
-    # the two equal orbits are one batch of two for the unmerged loop, so
-    # their merged representative must not take the lone-row path, while
-    # an orbit that is alone anyway must
-    def step(pos):
-        half = np.floor(pos / 2.0)
-        return half + 0.5 if len(pos) == 1 else half
-
-    def absorbed(pos):
-        return pos[:, 0] != np.floor(pos[:, 0])
-
-    twins = np.array([[8.0], [8.0]])
-    assert _unmerged_first_entry(step, twins, 3, absorbed)[1].tolist() == [3, 3]
-    survives, entry = first_entry(step, twins, 3, absorbed)
-    assert survives.tolist() == [True, True] and entry.tolist() == [3, 3]
-    survives, entry = first_entry(step, np.array([[8.0]]), 3, absorbed)
-    assert survives.tolist() == [False] and entry.tolist() == [1]
-
-
-def test_first_entry_tests_a_lone_merged_row_as_a_batch():
-    # an absorber that answers differently for a lone row, as the 3-D
-    # trap's BLAS product may near its boundary: the twins merge at t = 1
-    # and the unmerged loop tests them as a batch of two at every step
-    def absorbed(pos):
-        return np.full(len(pos), len(pos) == 1)
-
-    def step(pos):
-        return pos + 1.0
-
-    twins = np.array([[0.0], [0.0]])
-    assert _unmerged_first_entry(step, twins, 4, absorbed)[0].tolist() == [True, True]
-    survives, entry = first_entry(step, twins, 4, absorbed)
-    assert survives.tolist() == [True, True] and entry.tolist() == [4, 4]
-    survives, entry = first_entry(step, np.array([[0.0]]), 4, absorbed)
-    assert survives.tolist() == [False] and entry.tolist() == [0]
 
 
 # ------------------------------------------------------------------ words
@@ -445,32 +406,6 @@ def test_block_screen_refines_like_the_full_grid(make):
                                                      witness_targets=4, seed=i)
             kept += len(geo.boxes)
     assert kept > 0
-
-
-class LoneBoxArc(GappedQuadrupling):
-    """Branch 0 is the arc [0.52, 0.55], its bounding box two boxes of
-    side 2^-4 on either side of x = 1/2, the edge between two blocks of
-    four boxes; the screen drops the block of [1/4, 1/2).  The margin
-    answers differently for a lone row, as a BLAS product may."""
-
-    CELLS = ((0.52, 0.55), (0.8, 0.9))
-
-    def cell_bbox(self, symbol):
-        return np.array([[0.4375, 0.5625]]) if symbol == 0 else super().cell_bbox(symbol)
-
-    def cell_margin(self, symbol, points):
-        margin = super().cell_margin(symbol, points)
-        return margin - 1.0 if len(margin) == 1 else margin
-
-
-def test_block_screen_evaluates_a_lone_box_as_a_batch():
-    system = LoneBoxArc()
-    idx, centers, total = _candidate_centers(system, 0, 2, 4)
-    assert idx.tolist() == [[8]] and centers.tolist() == [[8.5 / 16]] and total == 2
-    geo = _assert_refines_like_the_full_grid(system, (0,), 2.0 ** -4)
-    assert geo.boxes.tolist() == [[8]] and len(geo.witnesses) > 0
-    # alone, the box's margin would fall below -r0 and drop it
-    assert system.cell_margin(0, np.array([[8.5 / 16]]))[0] < -2.0 ** -5
 
 
 def test_block_screen_evaluates_a_fraction_of_the_grid():

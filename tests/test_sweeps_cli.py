@@ -153,7 +153,7 @@ def test_mu_grid_construction():
 
 def test_make_family_forwards_profile_knobs():
     model = make_family("hopf2d", 0.05, {"delta0": 0.04, "delta1": 0.02})
-    assert model.delta0 == 0.04 and model.delta1 == 0.02
+    assert model.delta0 == 0.04 and model.profile.delta1 == 0.02
     with pytest.raises(ConfigError):
         make_family("unknown", 0.1)
 
