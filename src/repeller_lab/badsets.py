@@ -94,15 +94,15 @@ class WordCensus:
 
     ``kept`` holds the words the expansion floors could not rule out.
     ``pruned`` counts subtrees cut with a certificate (their best possible
-    depth-n mean already exceeds the threshold), ``expanded`` the internal
-    nodes; every visited node is one of the three.
+    depth-n mean already exceeds the threshold).  ``visited`` counts every
+    node of the walk: a kept word, a pruned subtree's root or an internal
+    node.
     """
 
     n: int
     threshold: float
     kept: tuple
     pruned: int
-    expanded: int
     visited: int
     capped: bool
 
@@ -125,7 +125,7 @@ def enumerate_slow_words(system: MapWithHoles, n: int, threshold=None, *,
         system, n, lambda j, total: total + (n - j) * best_rest - budget, max_words,
         file_cut=False)
     return WordCensus(n=n, threshold=threshold, kept=tuple(kept), pruned=pruned,
-                      expanded=expanded, visited=pruned + len(kept) + expanded,
+                      visited=pruned + len(kept) + expanded,
                       capped=capped)
 
 

@@ -29,7 +29,6 @@ row walk and the scalar function agree bit for bit on every cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
 from math import ceil, comb, exp, log
 
 __all__ = [
@@ -63,26 +62,9 @@ class BoundCheck:
     to a check once it is made.
     """
 
-    name: str
     lhs: int | float
     rhs: int | float
     ok: bool
-    params: dict
-
-    def __str__(self):
-        verdict = "ok" if self.ok else "VIOLATED"
-        return f"{self.name}{self.params}: {_g6(self.lhs)} <= {_g6(self.rhs)} [{verdict}]"
-
-
-def _g6(x) -> str:
-    """``x`` to six significant digits; an int past float range is rounded
-    exactly (half to even) by Decimal instead of through a float."""
-    try:
-        return f"{x:.6g}"
-    except OverflowError:
-        with localcontext() as ctx:
-            ctx.prec = 6
-            return f"{(+Decimal(x)).normalize():g}"
 
 
 # ----------------------------------------------------------- block patterns
@@ -103,8 +85,7 @@ def count_patterns(n: int, l: int, t: int, m: int) -> BoundCheck:
         raise ValueError("need at least one fast symbol")
     exact = comb(l - 1, t - 1) * comb(n - l - 1, t - 1) * m ** (n - l)
     bound = comb(l, t - 1) * comb(n - l, t - 1) * (m + 1) ** (n - l)
-    return BoundCheck(name="block-pattern-count", lhs=exact, rhs=bound,
-                      ok=exact <= bound, params={"n": n, "l": l, "t": t, "m": m})
+    return BoundCheck(lhs=exact, rhs=bound, ok=exact <= bound)
 
 
 # Relative error allowance of the Stirling float screen; see
@@ -143,8 +124,7 @@ def stirling_binomial_bound(l: int, t: int) -> BoundCheck:
     if not (1 <= t and 2 * t < l):
         raise ValueError("comparison is stated for 1 <= t < l/2")
     lhs, rhs, ok = _stirling(l, t, comb(l, t), l * log(l))
-    return BoundCheck(name="stirling-binomial", lhs=lhs, rhs=rhs, ok=ok,
-                      params={"l": l, "t": t})
+    return BoundCheck(lhs=lhs, rhs=rhs, ok=ok)
 
 
 def _stirling(l: int, t: int, c: int, a: float) -> tuple:
@@ -180,8 +160,7 @@ def entropy_bound(l: int, t: int, tau: float, *, enforce: bool = True) -> BoundC
     if enforce:
         _check_kappa(l, t, tau)
     lhs, rhs, ok = _entropy(l, t, comb(l, t), l * (1 + tau))
-    return BoundCheck(name="binomial-entropy", lhs=lhs, rhs=rhs, ok=ok,
-                      params={"l": l, "t": t, "tau": tau})
+    return BoundCheck(lhs=lhs, rhs=rhs, ok=ok)
 
 
 def _check_kappa(l: int, t: int, tau: float):
@@ -225,8 +204,7 @@ def prefactor_bound(l: int, t: int) -> BoundCheck:
     if l < 1 or t < 1:
         raise ValueError("need l >= 1 and t >= 1")
     lhs, rhs, ok = _prefactor((4 * l + 1) ** 2, 16 * l * l, t)
-    return BoundCheck(name="pattern-prefactor", lhs=lhs, rhs=rhs, ok=ok,
-                      params={"l": l, "t": t})
+    return BoundCheck(lhs=lhs, rhs=rhs, ok=ok)
 
 
 def _prefactor(num: int, den: int, t: int) -> tuple:
@@ -268,12 +246,8 @@ def lt_constraints(n: int, l: int, t: int, mu: float, sigma: float) -> tuple:
         raise ValueError("need 0 < mu < 1 and sigma > 1")
     cap_outside = fast_letter_cap(mu, sigma)
     cap_blocks = block_cap(mu)
-    outside = BoundCheck(name="fast-letter-fraction", lhs=(n - l) / l,
-                         rhs=cap_outside, ok=(n - l) / l <= cap_outside,
-                         params={"n": n, "l": l, "mu": mu, "sigma": sigma})
-    blocks = BoundCheck(name="block-fraction", lhs=t / l, rhs=cap_blocks,
-                        ok=t / l <= cap_blocks,
-                        params={"l": l, "t": t, "mu": mu})
+    outside = BoundCheck(lhs=(n - l) / l, rhs=cap_outside, ok=(n - l) / l <= cap_outside)
+    blocks = BoundCheck(lhs=t / l, rhs=cap_blocks, ok=t / l <= cap_blocks)
     return outside, blocks
 
 
@@ -321,8 +295,7 @@ def lemma_cell_bound(l: int, t: int, mu: float) -> BoundCheck:
     if not 0 < mu < 1:
         raise ValueError("need 0 < mu < 1")
     lhs, rhs, ok = _lemma(t, comb(l, t - 1), (13.0 / 32.0) * mu * l)
-    return BoundCheck(name="cell-count-vs-volume", lhs=lhs, rhs=rhs,
-                      ok=ok, params={"l": l, "t": t, "mu": mu})
+    return BoundCheck(lhs=lhs, rhs=rhs, ok=ok)
 
 
 def _lemma(t: int, c: int, rhs: float) -> tuple:

@@ -179,8 +179,8 @@ class LinearToy2D(_TenBranchTorus):
     def step(self, points):
         return wrap(_product(centered(points), _A2))
 
-    def deriv_inverse_norm(self, points):
-        return np.full(len(np.atleast_2d(points)), 1.0 / SQRT10)
+    def log_least_stretch(self, points):
+        return -np.log(np.full(len(np.atleast_2d(points)), 1.0 / SQRT10))
 
     def jacobian_matrices(self, points):
         return np.broadcast_to(_A2, (len(np.atleast_2d(points)), 2, 2)).copy()
@@ -235,8 +235,7 @@ class HopfModel2D(_TenBranchTorus):
             rho = self.rho_inv
             self.hole = Region(
                 contains=lambda p: _radius2(centered(p)) < rho * rho,
-                bounding_box=np.array([[0.0, 1.0], [0.0, 1.0]]),
-                volume=self.mu_f, label="attracting-basin-disk")
+                bounding_box=np.array([[0.0, 1.0], [0.0, 1.0]]))
         else:
             self.hole = None
 
@@ -252,10 +251,6 @@ class HopfModel2D(_TenBranchTorus):
         scale = self.profile.value(w[inside]) / self.sigma
         p[inside] = p.take(inside, axis=0) * scale[:, None]
         return wrap(_product(p, _A2))
-
-    def deriv_inverse_norm(self, points):
-        _, w = self._w(points)
-        return 1.0 / self.profile.value(np.minimum(w, self.delta0))
 
     def log_least_stretch(self, points):
         _, w = self._w(points)
@@ -419,7 +414,6 @@ class TrapRegion:
     contains: callable
     boundary_sample: callable
     empty: bool
-    label: str = "trap"
 
 
 def disk_trap(radius: float) -> TrapRegion:
@@ -431,7 +425,7 @@ def disk_trap(radius: float) -> TrapRegion:
         return wrap(radius * np.stack([np.cos(theta), np.sin(theta)], axis=1))
 
     return TrapRegion(contains=contains, boundary_sample=boundary_sample,
-                      empty=radius <= 0, label=f"disk-trap r={radius:.6g}")
+                      empty=radius <= 0)
 
 
 def cylinder_trap(model: HopfModel3D) -> TrapRegion:
@@ -457,7 +451,7 @@ def cylinder_trap(model: HopfModel3D) -> TrapRegion:
         return wrap(_product(np.concatenate([side, caps]), model.P))
 
     return TrapRegion(contains=contains, boundary_sample=boundary_sample,
-                      empty=r <= 0, label=f"cylinder-trap r={r:.6g} z={zmax:.6g}")
+                      empty=r <= 0)
 
 
 def verify_trap(model, trap: TrapRegion) -> bool:
@@ -527,8 +521,8 @@ class _ArcMap(MapWithHoles):
             sym[(x >= a) & (x <= b)] = s
         return sym
 
-    def deriv_inverse_norm(self, points):
-        return 1.0 / self.derivative(np.atleast_2d(points)[:, 0])
+    def log_least_stretch(self, points):
+        return -np.log(1.0 / self.derivative(np.atleast_2d(points)[:, 0]))
 
     def jacobian_matrices(self, points):
         return self.derivative(np.atleast_2d(points)[:, 0])[:, None, None]
@@ -557,8 +551,7 @@ class TriplingToy(_ArcMap):
     def __init__(self):
         self.hole = Region(
             contains=lambda p: (p[:, 0] > 1.0 / 3.0) & (p[:, 0] < 2.0 / 3.0),
-            bounding_box=np.array([[1.0 / 3.0, 2.0 / 3.0]]),
-            volume=1.0 / 3.0, label="middle-third")
+            bounding_box=np.array([[1.0 / 3.0, 2.0 / 3.0]]))
 
     def lift(self, u):
         return u * 3.0
@@ -610,7 +603,7 @@ class DiazVianaFamily(_ArcMap):
         r = self.r
         self.hole = Region(
             contains=lambda p: np.abs(centered(p)[:, 0]) < r,
-            bounding_box=np.array([[0.0, 1.0]]), volume=2 * r, label="hole-arc")
+            bounding_box=np.array([[0.0, 1.0]]))
         self.u_mid = float(_bisect(self.lift, 1.0 + r, r, 1.0 - r))
         self.cells = ((r, self.u_mid), (self.u_mid, 1.0 - r))
 

@@ -89,13 +89,10 @@ class Region:
     ``contains`` maps an (N, d) array to a boolean array of length N; it
     must be deterministic.  ``bounding_box`` is a (d, 2) array of
     [low, high) coordinate bounds that contains every member point.
-    ``volume`` may carry the exact Lebesgue measure when it is known.
     """
 
     contains: Callable[[np.ndarray], np.ndarray]
     bounding_box: np.ndarray
-    volume: float | None = None
-    label: str = ""
 
     def contains_points(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -146,8 +143,6 @@ class DimensionEstimate:
     and ``residual`` the root-mean-square regression residual.
     """
 
-    pairs: tuple
-    ambient_dim: int
     slope: float
     slope_raw: float
     residual: float
@@ -195,8 +190,7 @@ def box_dimension(pairs: Sequence[tuple], ambient_dim: int) -> DimensionEstimate
     slope = min(max(slope_raw, 0.0), float(ambient_dim))
     if slope != slope_raw:
         warnings.append("clamped")
-    return DimensionEstimate(pairs=tuple(pts), ambient_dim=ambient_dim,
-                             slope=slope, slope_raw=slope_raw,
+    return DimensionEstimate(slope=slope, slope_raw=slope_raw,
                              residual=resid, ci=ci, warnings=tuple(warnings))
 
 

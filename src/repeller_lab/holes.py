@@ -15,12 +15,13 @@ more after a check that finds no two orbits met.
 Cylinders C(a_1,...,a_n) — the sets of points sharing a branch itinerary —
 are realized two-sidedly:
 
-  * an outer cover of grid boxes, certified by transporting a bounding
-    ball of each box forward and pruning boxes whose image ball provably
-    leaves the required branch domain (or provably enters the hole);
-  * inner witnesses, produced by pulling a sample of the final branch
-    domain back through the inverse branches and verifying the forward
-    itinerary.
+  * ``refine_cylinder``: an outer cover of grid boxes with a volume
+    bracket, by transporting a bounding ball of each box forward and
+    pruning boxes whose image ball provably leaves the required branch
+    domain (or provably enters the hole);
+  * ``pullback_witnesses``: inner witnesses, by pulling a sample of the
+    final branch domain back through the inverse branches and verifying
+    the forward itinerary.
 """
 
 from __future__ import annotations
@@ -148,10 +149,11 @@ class MapWithHoles:
     Every branch is full (it maps its domain onto the whole space), so
     any word of symbols 0..n_branches-1 is admissible.  Concrete
     subclasses must set the attributes below and implement the evaluator
-    methods.  All point-valued methods are vectorized over an (N, d)
-    array of torus points in [0,1)^d, and must be pure and row-wise on
-    every batch size, one row included: an output row has the same bits
-    whatever other rows share its batch.
+    methods (``log_least_stretch`` is the stretch evaluator).  All
+    point-valued methods are vectorized over an (N, d) array of torus
+    points in [0,1)^d, and must be pure and row-wise on every batch size,
+    one row included: an output row has the same bits whatever other rows
+    share its batch.
 
     Attributes
     ----------
@@ -182,9 +184,6 @@ class MapWithHoles:
         """Branch symbol per point; -1 for points in the hole."""
         raise NotImplementedError
 
-    def deriv_inverse_norm(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def jacobian_matrices(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -198,6 +197,10 @@ class MapWithHoles:
         + 1e-15 for any two points, computed in one batch or apart.
         ``refine_cylinder``'s block screen rests on this.
         """
+        raise NotImplementedError
+
+    def log_least_stretch(self, points: np.ndarray) -> np.ndarray:
+        """log of the least singular value of Df, i.e. -log ||Df^{-1}||."""
         raise NotImplementedError
 
     def lambda_min(self, symbol: int) -> float:
@@ -218,10 +221,6 @@ class MapWithHoles:
         if self.hole is None:
             return np.zeros(len(np.atleast_2d(points)), dtype=bool)
         return self.hole.contains_points(points)
-
-    def log_least_stretch(self, points: np.ndarray) -> np.ndarray:
-        """log of the least singular value of Df, i.e. -log ||Df^{-1}||."""
-        return -np.log(self.deriv_inverse_norm(points))
 
     def cell_bbox(self, symbol: int) -> np.ndarray:
         """(d, 2) bounding box of the branch domain; the whole torus by default."""
@@ -287,18 +286,16 @@ class CylinderGeometry:
 
     ``boxes`` holds integer grid indices of the outer-cover boxes at
     resolution base**-k, in lexicographic order (``covers`` relies on
-    it); ``certified`` flags boxes whose bounding ball was verified to
-    stay inside every required branch domain (their total volume is the
-    lower estimate).  ``witnesses`` are verified interior points.
-    ``empty`` marks a cylinder with neither cover nor witnesses.
+    it).  ``vol_lo`` is the total volume of the boxes whose bounding ball
+    was verified to stay inside every required branch domain, ``vol_hi``
+    that of all the boxes.  ``empty`` marks a cylinder with neither cover
+    nor witnesses; the witnesses themselves come from
+    ``pullback_witnesses``.
     """
 
-    word: tuple
     base: int
     k: int
     boxes: np.ndarray
-    certified: np.ndarray
-    witnesses: np.ndarray
     vol_lo: float
     vol_hi: float
     empty: bool
@@ -417,7 +414,7 @@ def pullback_witnesses(system: MapWithHoles, word, *, targets: int = 12,
 
 def refine_cylinder(system: MapWithHoles, word, resolution: float,
                     *, witness_targets: int = 12, seed: int = 0) -> CylinderGeometry:
-    """Outer cover and inner witnesses of C(a_1,...,a_n) at one resolution.
+    """Outer cover and volume bracket of C(a_1,...,a_n) at one resolution.
 
     Each grid box is represented by the ball around its center
     containing it; the ball is transported forward step by step with the
@@ -445,10 +442,10 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
     lexicographic order, so the screen changes no box, flag, witness or
     volume, bit for bit.
 
-    A geometrically empty cylinder (cover and witness search both coming
-    up empty) is returned as an explicit empty marker, not an error.  The
-    word goes through ``check_word``: any sequence of integer symbols in
-    range, nonempty.
+    A geometrically empty cylinder (cover and ``pullback_witnesses``
+    search both coming up empty) is returned as an explicit empty marker,
+    not an error.  The word goes through ``check_word``: any sequence of
+    integer symbols in range, nonempty.
     """
     word = check_word(system, word)
     base, k = scale_to_base(resolution)
@@ -476,8 +473,7 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
         inside = inside[keep] & (margins >= rad)
 
     witnesses = pullback_witnesses(system, word, targets=witness_targets, seed=seed)
-    geometry = CylinderGeometry(word=word, base=base, k=k, boxes=idx,
-                                certified=inside, witnesses=witnesses,
+    geometry = CylinderGeometry(base=base, k=k, boxes=idx,
                                 vol_lo=float(inside.sum()) * eps ** system.d,
                                 vol_hi=float(len(idx)) * eps ** system.d,
                                 empty=len(idx) == 0 and len(witnesses) == 0)

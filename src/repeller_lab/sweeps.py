@@ -59,24 +59,9 @@ def _fmt_cell(value) -> str:
 
 
 def _csv_line(row: dict, columns) -> str:
-    """One CSV data line (newline included) of ``row``'s ``columns``.
-
-    Cells of the common exact types are formatted inline, as _fmt_cell
-    would format them; any other type (bool, numpy scalars, subclasses)
-    goes through _fmt_cell itself.
-    """
-    cells = []
-    for value in map(row.get, columns):
-        kind = type(value)
-        if kind is float or kind is int:
-            cells.append(repr(value))
-        elif kind is str:
-            cells.append(value.replace(",", ";"))
-        elif value is None:
-            cells.append("")
-        else:
-            cells.append(_fmt_cell(value))
-    return ",".join(cells) + "\n"
+    """One CSV data line (newline included) of ``row``'s ``columns``,
+    each cell formatted by _fmt_cell."""
+    return ",".join(map(_fmt_cell, map(row.get, columns))) + "\n"
 
 
 def _write_csv(path: Path, header_lines, columns, lines):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repeller_lab.badsets import (
+    _walk,
     a2_report,
     enumerate_slow_words,
     measure_slow_fractions,
@@ -40,8 +41,8 @@ class FlatSystem(MapWithHoles):
     def symbol_of(self, points):
         return np.zeros(len(np.atleast_2d(points)), dtype=np.int64)
 
-    def deriv_inverse_norm(self, points):
-        return np.ones(len(np.atleast_2d(points)))
+    def log_least_stretch(self, points):
+        return np.zeros(len(np.atleast_2d(points)))
 
     def jacobian_matrices(self, points):
         return np.ones((len(np.atleast_2d(points)), 1, 1))
@@ -66,8 +67,7 @@ def test_tripling_prunes_everything_at_depth_one():
     census = enumerate_slow_words(TriplingToy(), 5, 0.25 / 3.0)
     assert len(census.kept) == 0
     assert census.pruned == 2
-    assert census.expanded == 0
-    assert census.visited == 2
+    assert census.visited == 2  # both roots, no internal node
     assert not census.capped
 
 
@@ -85,7 +85,7 @@ def test_hopf_census_keeps_only_the_slow_branch_loop():
     census = enumerate_slow_words(model, 10)
     assert list(census.kept) == [(0,) * 10]
     assert census.pruned == 90  # nine fast symbols at each of ten depths
-    assert census.visited == len(census.kept) + census.pruned + census.expanded
+    assert census.visited == 1 + 90 + 9  # the internal nodes are (0,) * j, j < 10
 
 
 def test_census_counts_match_prefix_enumeration():
@@ -106,8 +106,11 @@ def test_census_counts_match_prefix_enumeration():
                 kept += 1
             else:
                 expanded += 1
+    walk = _walk(model, n, lambda j, total: total + (n - j) * best - n * threshold,
+                 100_000, file_cut=False)
+    assert (walk[2], len(walk[3]), walk[4]) == (pruned, kept, expanded)
     census = enumerate_slow_words(model, n, threshold)
-    assert (census.pruned, len(census.kept), census.expanded) == (pruned, kept, expanded)
+    assert (census.pruned, len(census.kept)) == (pruned, kept)
     assert census.visited == pruned + kept + expanded
     assert len(census.kept) == 1 + 9 * n + 81 * n * (n - 1) // 2  # at most two fast letters
 

@@ -495,7 +495,7 @@ def test_singular_values_match_svd():
     sv = np.linalg.svd(model.jacobian_matrices(pts), compute_uv=False)
     assert np.allclose(sv[:, -1], lo, rtol=1e-10)
     assert np.allclose(sv[:, 0], hi, rtol=1e-10)
-    assert np.allclose(model.deriv_inverse_norm(pts), 1 / lo, rtol=1e-12)
+    assert np.allclose(np.exp(-model.log_least_stretch(pts)), 1 / lo, rtol=1e-12)
 
 
 def test_branch_expansion_floors():
@@ -509,6 +509,42 @@ def test_branch_expansion_floors():
     assert model.log_least_stretch(pts[sel]).min() >= -1e-12
     model0 = HopfModel2D(-0.05)
     assert model0.lambda_min(0) == pytest.approx(np.log(1.05))
+
+
+def _stretch_points(model, rng):
+    """Seeded points over the whole torus and near the hole, with both
+    sides of the hole boundary present when the model has a hole."""
+    spread = rng.random((2000, model.d))
+    if model.d == 1:  # the hole's bounding arc
+        box = model.hole.bounding_box if model.hole is not None else np.array([[0.0, 1.0]])
+        near = box[:, 0] + rng.random((2000, 1)) * (box[:, 1] - box[:, 0])
+    else:  # the deformation disk, hole and annulus around it
+        near = wrap((rng.random((2000, model.d)) - 0.5) * 0.3)
+    pts = np.concatenate([spread, near])
+    if model.hole is not None:
+        hole = model.in_hole(pts)
+        assert hole.any() and not hole.all()
+    return pts
+
+
+@pytest.mark.parametrize("name, make, digest", [
+    ("hopf2d", lambda: HopfModel2D(0.1),
+     "077b4295e777f635be4f28dea614778d6a4320eec4bf715422f1a4d664c77dba"),
+    ("linear2d", LinearToy2D,
+     "6d184e4d120c5ad443783b49e8dbaa27e1d7f59aecb31bf66d3219c211ab8f47"),
+    ("tripling", TriplingToy,
+     "35d3ed98b54a0221adefeeb6a3a34a6a58b66b553a0f12a1533e8f2d43962a84"),
+    ("diaz-viana", lambda: DiazVianaFamily(0.25),
+     "8153136bf19e4b5bb3322c2bea0720d42e9c6fd649479ad10742d880e200984f"),
+])
+def test_log_least_stretch_is_pinned_bit_for_bit(name, make, digest):
+    # sha256 of log_least_stretch on seeded points inside and outside the
+    # hole; the golden artefacts cover hopf2d only, this pins every family
+    model = make()
+    pts = _stretch_points(model, np.random.default_rng(24))
+    got = model.log_least_stretch(pts)
+    assert got.dtype == np.float64 and got.shape == (len(pts),)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == digest, name
 
 
 def test_lip_bound_dominates_observed_stretch():
@@ -739,7 +775,7 @@ def test_linear_toy_is_conformal_full_shift():
     pts = rng.random((1000, 2))
     assert np.all(toy.symbol_of(pts) >= 0)
     assert toy.lambda_min(4) == pytest.approx(0.5 * np.log(10))
-    assert np.allclose(toy.deriv_inverse_norm(pts), 1 / np.sqrt(10))
+    assert np.allclose(np.exp(-toy.log_least_stretch(pts)), 1 / np.sqrt(10))
     for s in (0, 7):
         inv = toy.inverse_branch(s, pts[:100])
         assert not np.isnan(inv).any()

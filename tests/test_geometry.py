@@ -221,7 +221,7 @@ def test_fit_matches_linregress_bitwise():
             counts[-1] += 1
         ladder = [(float(base) ** -int(k), int(c)) for k, c in zip(ks, counts)]
         est = box_dimension(ladder, ambient_dim=3)
-        slope_raw, resid, ci = linregress_estimate(est.pairs)
+        slope_raw, resid, ci = linregress_estimate(sorted(ladder, reverse=True))
         got = np.array([est.slope_raw, est.residual, est.ci, est.slope])
         want = np.array([slope_raw, resid, ci, min(max(slope_raw, 0.0), 3.0)])
         assert same_bits(got, want), (trial, ladder)
@@ -307,7 +307,7 @@ def disk_region(cx, cy, r):
     def contains(p):
         return (p[:, 0] - cx) ** 2 + (p[:, 1] - cy) ** 2 < r * r
     bbox = np.array([[cx - r, cx + r], [cy - r, cy + r]])
-    return Region(contains=contains, bounding_box=bbox, label="disk")
+    return Region(contains=contains, bounding_box=bbox)
 
 
 def test_disk_measure_within_ci():
@@ -319,7 +319,7 @@ def test_disk_measure_within_ci():
 
 def empty_region(d):
     return Region(contains=lambda p: np.zeros(len(p), dtype=bool),
-                  bounding_box=np.array([[0.0, 1.0]] * d), volume=0.0, label="empty")
+                  bounding_box=np.array([[0.0, 1.0]] * d))
 
 
 def test_empty_region_gets_rule_of_three_width():

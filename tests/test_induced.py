@@ -123,7 +123,6 @@ def test_hopf_sampled_margins_positive():
     # witnesses cover all 54 slow-prefix pieces uniform sampling misses
     assert chk.words_checked == 54
     assert chk.min_margin > 1.0
-    assert np.all((chk.worst_point >= 0) & (chk.worst_point < 1))
 
 
 def test_verification_is_deterministic():

@@ -1,6 +1,7 @@
 """Every public name serves a driver, a demo or the benchmark."""
 
 import ast
+import re
 from pathlib import Path
 
 import repeller_lab
@@ -8,6 +9,7 @@ import repeller_lab
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = [p for p in (ROOT / "src" / "repeller_lab").glob("*.py") if p.name != "__init__.py"]
 USERS = [*PACKAGE, *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+NOTES = ROOT / "notes" / "decisions.md"
 
 # class members that nothing outside the tests reads, with why they stay
 KEPT_UNREAD = {
@@ -32,17 +34,28 @@ def names_used(path):
 
 
 def members_read(path):
-    """Member names that a source file reads: attribute loads, keyword
-    argument names and string constants (as ``getattr`` reads them)."""
+    """Member names that a source file reads.
+
+    An attribute load is a read.  A string constant is a read only where
+    it can name a member: as a positional call argument (``getattr(x,
+    "name")``, ``View.stamped("name")``) or as an element of a tuple,
+    list or set literal (column tuples, ``for name in ("a", "b")``).  A
+    keyword argument's name is not a read: it names a parameter, so a
+    field that is only set at construction does not count as read.
+    """
     used = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             used.add(node.attr)
-        elif isinstance(node, ast.keyword) and node.arg:
-            used.add(node.arg)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            used.add(node.value)
+        elif isinstance(node, ast.Call):
+            used.update(_strings(node.args))
+        elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            used.update(_strings(node.elts))
     return used
+
+
+def _strings(nodes):
+    return {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
 
 
 def public_members(path):
@@ -72,7 +85,30 @@ def test_every_public_name_is_used_outside_the_tests():
 
 
 def test_every_public_member_is_read_outside_the_tests():
+    """Each public class member is read, as ``members_read`` counts reads,
+    by the package, a demo or the benchmark, or is kept in KEPT_UNREAD
+    with its reason."""
     read = set().union(*map(members_read, USERS))
     unread = {m for m in set().union(*map(public_members, PACKAGE)) if m[1] not in read}
     assert sorted(unread - KEPT_UNREAD.keys()) == []
     assert sorted(KEPT_UNREAD.keys() - unread) == []
+
+
+def test_decision_notes_reproduce_what_they_say(capsys):
+    """Each ``Reproduce`` block of notes/decisions.md prints the numbers
+    its prose states, with the package as it is now."""
+    text = NOTES.read_text()
+    blocks = re.findall(r"### Reproduce\n\n```python\n(.*?)```", text, re.S)
+    assert len(blocks) == 2
+    for block in blocks:
+        exec(compile(block, str(NOTES), "exec"), {"__name__": "decisions"})
+    assert capsys.readouterr().out.splitlines() == [
+        "0.05 500 (1199, 5)", "0.1 5624 (369, 4)",
+        "0.06 0.1133 0.1144 0.1137", "0.1 0.1823 0.1906 0.1847",
+        "mu_cross 0.04997"]
+    for said in ("| 0.05 | 0.0041726 | 7 377 | 500 | l = 1199, t = 5 |",
+                 "| 0.1 | 0.0108574 | 20 734 | 5 624 | l = 369, t = 4 |",
+                 "Together: 6 124 failing cells",
+                 "| 0.06 | 0.1133 | 0.1144 | 0.1137 |", "| 0.1 | 0.1823 | 0.1906 | 0.1847 |",
+                 "**µ_cross = 0.04997**"):
+        assert said in text
