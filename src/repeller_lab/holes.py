@@ -5,12 +5,12 @@ branches are indexed by symbols 0..m; orbits falling into the hole leave
 the system.  ``MapWithHoles`` is the abstract interface consumed by the
 cylinder machinery below; concrete families live in ``families``.
 ``propagate`` is the one active-set orbit loop: escape times, survivor
-grids, itineraries, the slow-set Monte Carlo and the induced map all
-iterate their orbits through it.  ``first_entry``, under the escape
-times and survivor grids, steps one orbit for each group of orbits that
-meet bit for bit (dyadic grid centres do, often): exact because ``step``
-and the absorber are row-wise, checked at t = 1, 2, 4, 8, ... and no
-more after a check that finds no two orbits met.
+grids, itineraries, cylinder refinement, the slow-set Monte Carlo and
+the induced map all iterate their orbits through it.  ``first_entry``,
+under the escape times and survivor grids, steps one orbit for each
+group of orbits that meet bit for bit (dyadic grid centres do, often):
+exact because ``step`` and the absorber are row-wise, checked at t = 1,
+2, 4, 8, ... and no more after a check that finds no two orbits met.
 
 Cylinders C(a_1,...,a_n) — the sets of points sharing a branch itinerary —
 are realized two-sidedly:
@@ -34,30 +34,28 @@ import numpy as np
 from .geometry import Region, box_indices, scale_to_base, wrap
 
 
-def propagate(step, points, steps: int, visit) -> np.ndarray:
+def propagate(step, points, steps: int, visit) -> None:
     """Iterate ``step`` on the orbits of ``points`` until ``visit`` retires them.
 
     ``visit(t, rows, pos)`` sees the original row indices of the orbits
     still active and their positions after t steps, for t = 0..steps, and
     returns a boolean mask over ``rows`` of the orbits to retire.  Only
     active orbits are stepped, the loop stops once none is left, and no
-    step follows the last visit.  Returns each row's position at its last
-    visit (where it was retired, or after ``steps`` steps).
+    step follows the last visit.  The visits are all a caller sees: one
+    that wants positions records them there.  ``points`` is read, not
+    copied, so neither ``visit`` nor ``step`` may write to ``pos``.
     """
-    out = np.array(points, dtype=float, ndmin=2)
-    rows, pos = np.arange(len(out)), out
+    pos = np.atleast_2d(np.asarray(points, dtype=float))
+    rows = np.arange(len(pos))
     for t in range(steps + 1):
         done = visit(t, rows, pos)
         if done.any():
-            # row gathers: a boolean mask on an (N, d) array copies ten times slower
-            gone, live = np.flatnonzero(done), np.flatnonzero(~done)
-            out[rows[gone]] = pos.take(gone, axis=0)
+            # a row gather: a boolean mask on an (N, d) array copies ten times slower
+            live = np.flatnonzero(~done)
             rows, pos = rows[live], pos.take(live, axis=0)
         if t == steps or len(rows) == 0:
             break
         pos = step(pos)
-    out[rows] = pos
-    return out
 
 
 def first_entry(step, points, steps: int, absorbed):
@@ -288,9 +286,8 @@ class CylinderGeometry:
     resolution base**-k, in lexicographic order (``covers`` relies on
     it).  ``vol_lo`` is the total volume of the boxes whose bounding ball
     was verified to stay inside every required branch domain, ``vol_hi``
-    that of all the boxes.  ``empty`` marks a cylinder with neither cover
-    nor witnesses; the witnesses themselves come from
-    ``pullback_witnesses``.
+    that of all the boxes.  A geometrically empty cylinder has no boxes;
+    inner witnesses come from ``pullback_witnesses``.
     """
 
     base: int
@@ -298,7 +295,6 @@ class CylinderGeometry:
     boxes: np.ndarray
     vol_lo: float
     vol_hi: float
-    empty: bool
 
     def covers(self, points: np.ndarray) -> np.ndarray:
         """True per point when the point lies in one of the cover boxes.
@@ -417,11 +413,11 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
     """Outer cover and volume bracket of C(a_1,...,a_n) at one resolution.
 
     Each grid box is represented by the ball around its center
-    containing it; the ball is transported forward step by step with the
-    radius inflated by a local expansion bound, and the box is pruned as
-    soon as the transported ball provably misses the branch domain
-    required at that step.  Boxes whose ball provably stays inside every
-    required domain count toward the certified lower volume.
+    containing it; the ball is transported forward on ``propagate``, with
+    the radius inflated by a local expansion bound at each step, and the
+    box is pruned as soon as the transported ball provably misses the
+    branch domain required at that step.  Boxes whose ball provably stays
+    inside every required domain count toward the certified lower volume.
 
     The cover starts from the grid boxes meeting the first branch
     domain's bounding box, screened by blocks of base**(k // 2) boxes a
@@ -442,41 +438,37 @@ def refine_cylinder(system: MapWithHoles, word, resolution: float,
     lexicographic order, so the screen changes no box, flag, witness or
     volume, bit for bit.
 
-    A geometrically empty cylinder (cover and ``pullback_witnesses``
-    search both coming up empty) is returned as an explicit empty marker,
-    not an error.  The word goes through ``check_word``: any sequence of
+    A geometrically empty cylinder comes back with no boxes, not as an
+    error; a ``pullback_witnesses`` witness outside the cover raises
+    RuntimeError.  The word goes through ``check_word``: any sequence of
     integer symbols in range, nonempty.
     """
     word = check_word(system, word)
     base, k = scale_to_base(resolution)
     eps = base ** -k
-    r0 = 0.5 * eps * np.sqrt(system.d)
     idx, centers = _candidate_centers(system, word[0], base, k)
-    margins = system.cell_margin(word[0], centers)
-    # balls are closed: prune only when the transported ball provably
-    # misses the cell (margin strictly below -radius), so an exactly
-    # touching measure-zero cylinder is never declared empty
-    keep = np.flatnonzero(margins >= -r0)
-    idx, pos = idx.take(keep, axis=0), centers.take(keep, axis=0)
-    inside = margins[keep] >= r0
-    rad = np.full(len(pos), r0)
+    rad = np.full(len(idx), 0.5 * eps * np.sqrt(system.d))
+    kept, inside = np.ones((2, len(idx)), dtype=bool)
 
-    for symbol in word[1:]:
-        if len(pos) == 0:
-            break
-        rad = rad * system.lip_bound(pos, rad)
-        pos = system.step(pos)
-        margins = system.cell_margin(symbol, pos)
-        keep = np.flatnonzero(margins >= -rad)
-        idx, pos = idx.take(keep, axis=0), pos.take(keep, axis=0)
-        rad, margins = rad[keep], margins[keep]
-        inside = inside[keep] & (margins >= rad)
+    def visit(t, rows, pos):
+        margins, r = system.cell_margin(word[t], pos), rad[rows]
+        # balls are closed: prune only when the transported ball provably
+        # misses the cell (margin strictly below -radius, or NaN), so an
+        # exactly touching measure-zero cylinder is never declared empty
+        drop = ~(margins >= -r)
+        kept[rows[drop]] = False
+        inside[rows] &= margins >= r
+        if t + 1 < len(word):
+            live = np.flatnonzero(~drop)
+            rad[rows[live]] = r[live] * system.lip_bound(pos.take(live, axis=0), r[live])
+        return drop
 
+    propagate(system.step, centers, len(word) - 1, visit)
+    keep = np.flatnonzero(kept)
     witnesses = pullback_witnesses(system, word, targets=witness_targets, seed=seed)
-    geometry = CylinderGeometry(base=base, k=k, boxes=idx,
-                                vol_lo=float(inside.sum()) * eps ** system.d,
-                                vol_hi=float(len(idx)) * eps ** system.d,
-                                empty=len(idx) == 0 and len(witnesses) == 0)
+    geometry = CylinderGeometry(base=base, k=k, boxes=idx.take(keep, axis=0),
+                                vol_lo=float(inside[keep].sum()) * eps ** system.d,
+                                vol_hi=float(len(keep)) * eps ** system.d)
     if len(witnesses) and not geometry.covers(witnesses).all():
         raise RuntimeError("outer cover does not contain a verified witness: "
                            "certification bookkeeping is inconsistent")

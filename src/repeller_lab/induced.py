@@ -66,7 +66,7 @@ class InducedExpander:
 
         Points in the induced hole (orbit enters the hole or fails to
         cross within n steps) come back with ok=False; their image row is
-        the last computed position and their time the steps taken.
+        where the orbit was retired, by t = n, and their time the steps taken.
         ``on_step(rows, pos)``, when given, sees the rows about to take
         one more step and their positions.
         """
@@ -75,6 +75,7 @@ class InducedExpander:
         acc = np.zeros(len(pts))
         tau = np.zeros(len(pts), dtype=np.int64)
         ok = np.zeros(len(pts), dtype=bool)
+        image = np.empty_like(pts)
 
         def visit(t, rows, pos):
             done = acc[rows] > self.threshold * t
@@ -89,11 +90,13 @@ class InducedExpander:
                 if on_step is not None:
                     go = np.flatnonzero(~done)
                     on_step(rows[go], pos.take(go, axis=0))
-            tau[rows[done]] = t
+            gone = np.flatnonzero(done)
+            tau[rows[gone]] = t
+            image[rows[gone]] = pos.take(gone, axis=0)
             return done
 
-        pos = propagate(self.system.step, pts, self.n, visit)
-        return pos, tau, ok
+        propagate(self.system.step, pts, self.n, visit)
+        return image, tau, ok
 
 
 def build_induced(system: MapWithHoles, n: int, threshold=None, *,

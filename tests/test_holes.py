@@ -1,6 +1,8 @@
 """Tests for cylinder covers, witnesses, and expansion profiles."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,36 +112,76 @@ class CountingShift:
 
 
 def test_propagate_steps_only_active_orbits():
-    model, seen = CountingShift(), {}
+    model, seen, last = CountingShift(), {}, {}
     pts = np.array([[0.0], [10.0], [20.0]])
 
     def visit(t, rows, pos):
         seen[t] = rows.tolist()
         assert np.all(pos[:, 0] == 10 * rows + t)
+        last.update(zip(rows.tolist(), pos[:, 0].tolist()))
         return (rows == 0) | ((rows == 1) & (t == 2))
 
-    out = propagate(model.step, pts, 4, visit)
+    assert propagate(model.step, pts, 4, visit) is None
     assert seen == {0: [0, 1, 2], 1: [1, 2], 2: [1, 2], 3: [2], 4: [2]}
     # row 0 retired at t = 0 is never stepped; no step follows the last visit
     assert model.stepped == [[1, 2], [1, 2], [2], [2]]
-    # each row comes back where it was retired, or after all four steps
-    assert out[:, 0].tolist() == [0.0, 12.0, 24.0]
+    # each row's last visit sees it where it was retired, or after all four steps
+    assert last == {0: 0.0, 1: 12.0, 2: 24.0}
     assert pts[:, 0].tolist() == [0.0, 10.0, 20.0]
 
 
 def test_propagate_stops_once_no_orbit_is_active():
-    model, visits = CountingShift(), []
+    model, visits, last = CountingShift(), [], []
 
     def visit(t, rows, pos):
         visits.append(t)
+        last.append(pos.copy())
         return np.full(len(rows), t == 2)
 
-    out = propagate(model.step, np.zeros((3, 2)), 100, visit)
+    pts = np.zeros((3, 2))
+    propagate(model.step, pts, 100, visit)
     assert visits == [0, 1, 2] and len(model.stepped) == 2
-    assert np.all(out == 2.0)
-    model = CountingShift()
-    assert np.all(propagate(model.step, np.ones((2, 1)), 0, visit) == 1.0)
+    assert np.all(last[-1] == 2.0) and np.all(pts == 0.0)
+    model, last = CountingShift(), []
+    propagate(model.step, np.ones((2, 1)), 0, visit)
+    assert len(last) == 1 and np.all(last[0] == 1.0)
     assert model.stepped == []
+
+
+_LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+          ast.GeneratorExp)
+
+
+def _loop_step_calls(tree):
+    """Lines of the ``step(...)`` / ``x.step(...)`` calls inside a loop or
+    comprehension, outside ``propagate``."""
+    lines = []
+
+    def walk(node, in_loop):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "propagate":
+            return
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            if in_loop and name == "step":
+                lines.append(node.lineno)
+        in_loop = in_loop or isinstance(node, _LOOPS)
+        for child in ast.iter_child_nodes(node):
+            walk(child, in_loop)
+
+    walk(tree, False)
+    return lines
+
+
+def test_propagate_is_the_only_loop_that_steps_orbits():
+    src = Path(__file__).resolve().parents[1] / "src" / "repeller_lab"
+    found = {p.name: _loop_step_calls(ast.parse(p.read_text()))
+             for p in sorted(src.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    # the walk does see a stepping loop, and a lone step outside any loop passes
+    assert _loop_step_calls(ast.parse("for s in w:\n    pos = system.step(pos)")) == [2]
+    assert _loop_step_calls(ast.parse("ys = [step(x) for x in xs]")) == [1]
+    assert _loop_step_calls(ast.parse("ok = trap.contains(model.step(pts))")) == []
 
 
 def _unmerged_first_entry(step, points, steps, absorbed):
@@ -234,7 +276,7 @@ def test_list_and_numpy_words_refine_like_the_tuple_word():
     model = HopfModel2D(0.1)
     want = refine_cylinder(model, (0, 3, 7), 2.0 ** -6, seed=2)
     wits = pullback_witnesses(model, (0, 3, 7), seed=2)
-    assert not want.empty and len(wits) > 0
+    assert len(want.boxes) > 0 and len(wits) > 0
     for word in ([0, 3, 7], np.array([0, 3, 7]), tuple(np.arange(10)[[0, 3, 7]])):
         got = refine_cylinder(model, word, 2.0 ** -6, seed=2)
         assert got.boxes.tobytes() == want.boxes.tobytes()
@@ -248,7 +290,7 @@ def test_tripling_two_letter_cylinder_exact_interval():
     # C(0,1) = [2/9, 1/3], an interval of length 1/9
     toy = TriplingToy()
     geo = refine_cylinder(toy, (0, 1), 3.0 ** -5)
-    assert not geo.empty
+    assert len(geo.boxes) > 0
     assert geo.vol_lo <= 1.0 / 9.0 <= geo.vol_hi
     assert geo.vol_hi - geo.vol_lo < 0.06
     wits = pullback_witnesses(toy, (0, 1))
@@ -293,11 +335,10 @@ def test_geometrically_empty_word_returns_marker():
     toy = GappedQuadrupling()
     for word in ((0, 0), (1, 1)):
         alive = refine_cylinder(toy, word, 2.0 ** -8)
-        assert not alive.empty
+        assert len(alive.boxes) > 0
         assert len(pullback_witnesses(toy, word)) > 0
     for word in ((0, 1), (1, 0)):
         dead = refine_cylinder(toy, word, 2.0 ** -8)
-        assert dead.empty
         assert dead.vol_lo == 0.0 and dead.vol_hi == 0.0
         assert len(dead.boxes) == 0 and len(pullback_witnesses(toy, word)) == 0
         assert len(pullback_witnesses(toy, word, targets=64)) == 0
@@ -323,7 +364,7 @@ def test_degenerate_cylinder_stays_inconclusive():
     # stay honest: a sliver of cover boxes, zero certified volume, and no
     # interior witnesses
     geo = refine_cylinder(TouchingQuadrupling(), (0, 1), 2.0 ** -8)
-    assert not geo.empty
+    assert len(geo.boxes) > 0
     assert geo.vol_lo == 0.0
     assert 0 < geo.vol_hi <= 3 * 2.0 ** -8
     assert len(pullback_witnesses(TouchingQuadrupling(), (0, 1))) == 0
@@ -378,7 +419,6 @@ def _full_grid_refinement(system, word, resolution, *, witness_targets=12, seed=
 def _assert_refines_like_the_full_grid(system, word, resolution, **kw):
     got = refine_cylinder(system, word, resolution, **kw)
     want = _full_grid_refinement(system, word, resolution, **kw)
-    assert got.empty == (len(want[0]) == 0 and len(want[2]) == 0)
     a, b = got.boxes, want[0]
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     assert (got.vol_lo, got.vol_hi) == want[3:]

@@ -6,6 +6,7 @@ import pytest
 from repeller_lab.badsets import sn_partition
 from repeller_lab.bounds import delta_bound
 from repeller_lab.families import DiazVianaFamily, HopfModel2D, TriplingToy
+from repeller_lab.geometry import wrap
 from repeller_lab.induced import (build_induced, induced_hole_volume,
                                   verify_expansion)
 
@@ -69,6 +70,30 @@ def test_applied_return_times_match_crossing_words():
             x = hopf.step(x)
         assert tuple(seen) in words
         np.testing.assert_allclose(out[i], x[0], atol=1e-12)
+
+
+@pytest.mark.parametrize("system, n, threshold", [
+    (HopfModel2D(0.1), 6, None), (TriplingToy(), 3, 0.5),
+], ids=["hopf2d-0.1", "tripling"])
+def test_apply_images_are_the_map_iterated_tau_times(system, n, threshold):
+    # rows that return, that enter the hole and (hopf2d: orbits just
+    # outside the neutral circle stay slow) that are capped at n
+    ind = build_induced(system, n, threshold)
+    hopf = isinstance(system, HopfModel2D)
+    pts = np.random.default_rng(3).random((500, system.d))
+    if hopf:
+        angle = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+        ring = 1.01 * system.rho_inv * np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        pts = np.concatenate([pts, wrap(ring)])
+    image, tau, ok = ind.apply(pts)
+    entered, capped = ~ok & (tau < n), ~ok & (tau == n)
+    assert ok.any() and entered.any() and system.in_hole(image[entered]).all()
+    assert capped.any() == hopf
+    for i in range(len(pts)):
+        x = pts[i:i + 1]
+        for _ in range(tau[i]):
+            x = system.step(x)
+        assert image[i].tobytes() == x[0].tobytes()
 
 
 def test_points_in_hole_rejected_immediately():
