@@ -14,8 +14,7 @@ from .bounds import (BoundCheck, count_patterns, delta_bound, delta_peak,
 from .config import ConfigError, SweepConfig, config_hash, parse_config
 from .families import (DiazVianaFamily, HopfModel2D, HopfModel3D, LinearToy2D,
                        TrapRegion, TriplingToy, cylinder_trap, disk_trap,
-                       escape_time, invariant_circle_radius, survivor_grid,
-                       verify_trap)
+                       escape_time, survivor_grid, verify_trap)
 from .geometry import (DimensionEstimate, Region, box_dimension, box_indices,
                        counts_from_survivors, lebesgue_estimate, wrap)
 from .holes import (CylinderGeometry, MapWithHoles, check_word, pullback_witnesses,
@@ -37,7 +36,7 @@ __all__ = [
     "ConfigError", "SweepConfig", "config_hash", "parse_config",
     "DiazVianaFamily", "HopfModel2D", "HopfModel3D", "LinearToy2D",
     "TrapRegion", "TriplingToy", "cylinder_trap", "disk_trap", "escape_time",
-    "invariant_circle_radius", "survivor_grid", "verify_trap",
+    "survivor_grid", "verify_trap",
     "DimensionEstimate", "Region", "box_dimension", "box_indices",
     "counts_from_survivors", "lebesgue_estimate", "wrap",
     "CylinderGeometry", "MapWithHoles", "check_word",

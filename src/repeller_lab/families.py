@@ -226,7 +226,8 @@ class HopfModel2D(_TenBranchTorus):
         self.mu_f = float(np.pi) * self.rho_inv ** 2
 
         grid = np.geomspace(1e-4, 0.1, 17)
-        self.K = min(m / (np.pi * invariant_circle_radius(self, m) ** 2) for m in grid)
+        self.K = min(m / (np.pi * circle_radius(build_phi(
+            m, SQRT10, delta0, delta1, sigma1, slope=slope, quad=quad)) ** 2) for m in grid)
         self.c0 = self.K / 256.0
         self.delta_mu = self.K * self.mu_f
         self.S = 1.0 / float(self.profile.value(self.w_star))
@@ -467,13 +468,11 @@ def escape_time(model, points, horizon: int):
 
     Returns ``(survives, steps)``: a boolean per point that never entered
     the trap within ``horizon`` iterations, and the entry step (or the
-    horizon for survivors).  Every call verifies the trap's forward
-    invariance by boundary sampling; a failed verification downgrades
-    the run (``model.trap_advisory`` set), it does not raise.
+    horizon for survivors).  It does not check the trap's forward
+    invariance; a caller that needs that runs ``verify_trap`` itself.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     trap = model.default_trap()
-    model.trap_advisory = not verify_trap(model, trap)
     if trap.empty:
         return np.ones(len(pts), dtype=bool), np.full(len(pts), horizon, dtype=np.int64)
     return first_entry(model.step, pts, horizon, trap.contains)
@@ -636,22 +635,3 @@ class DiazVianaFamily(_ArcMap):
         if dom.any():
             out[dom] = _bisect(self.lift, y[dom] + 1.0, self.u_mid, 1.0 - self.r)
         return out[:, None]
-
-
-# =====================================================================
-# family-level checks
-# =====================================================================
-
-def invariant_circle_radius(model, mu: float | None = None) -> float:
-    """Radius of the radially neutral circle of a planar/spatial model.
-
-    With no explicit ``mu`` the model's own radius is returned; otherwise
-    the profile is rebuilt at ``mu`` with the model's shape parameters and
-    the root of Phi(rho^2) = 1 is re-solved (0 for mu <= 0).
-    """
-    if mu is None:
-        return model.rho_inv
-    prof = model.profile
-    rebuilt = build_phi(mu, prof.sigma, prof.delta0, prof.delta1, prof.sigma1,
-                        slope=prof.slope, quad=prof.quad)
-    return circle_radius(rebuilt)

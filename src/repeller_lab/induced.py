@@ -62,20 +62,18 @@ class InducedExpander:
         return total - self.threshold * len(word)
 
     def apply(self, points: np.ndarray, on_step=None):
-        """Induced images, return times, and domain membership per point.
+        """Return times and domain membership per point, as ``(tau, ok)``.
 
         Points in the induced hole (orbit enters the hole or fails to
-        cross within n steps) come back with ok=False; their image row is
-        where the orbit was retired, by t = n, and their time the steps taken.
-        ``on_step(rows, pos)``, when given, sees the rows about to take
-        one more step and their positions.
+        cross within n steps) come back with ok=False and the steps taken,
+        at most n.  ``on_step(rows, pos)``, when given, sees the rows about
+        to take one more step and their positions.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         floors = np.array(self.floors)
         acc = np.zeros(len(pts))
         tau = np.zeros(len(pts), dtype=np.int64)
         ok = np.zeros(len(pts), dtype=bool)
-        image = np.empty_like(pts)
 
         def visit(t, rows, pos):
             done = acc[rows] > self.threshold * t
@@ -90,13 +88,11 @@ class InducedExpander:
                 if on_step is not None:
                     go = np.flatnonzero(~done)
                     on_step(rows[go], pos.take(go, axis=0))
-            gone = np.flatnonzero(done)
-            tau[rows[gone]] = t
-            image[rows[gone]] = pos.take(gone, axis=0)
+            tau[rows[done]] = t
             return done
 
         propagate(self.system.step, pts, self.n, visit)
-        return image, tau, ok
+        return tau, ok
 
 
 def build_induced(system: MapWithHoles, n: int, threshold=None, *,
@@ -160,7 +156,7 @@ def verify_expansion(expander: InducedExpander, *, samples: int = 10_000,
     def multiply(rows, pos):
         prod[rows] = system.jacobian_matrices(pos) @ prod[rows]
 
-    _, tau, ok = expander.apply(pts, on_step=multiply)
+    tau, ok = expander.apply(pts, on_step=multiply)
     ret = np.flatnonzero(ok)
     checked = len(ret)
     if checked == 0:  # empty domain: nothing to violate
@@ -206,7 +202,7 @@ def induced_hole_volume(expander: InducedExpander, *, samples: int = 100_000,
     system = expander.system
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pts = rng.random((samples, system.d))
-    _, _, ok = expander.apply(pts)
+    _, ok = expander.apply(pts)
     measured = float(1.0 - ok.mean())
     half = _binomial_halfwidth(measured, samples)
 

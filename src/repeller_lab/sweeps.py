@@ -37,7 +37,7 @@ from .bounds import (block_cap, count_patterns, delta_bound, depth_threshold,
 from .config import (KNOWN_FAMILIES, A2Config, BoundsConfig, ConfigError,
                      InducedConfig, SweepConfig, config_hash, config_header,
                      make_family, read_family)
-from .families import survivor_grid
+from .families import survivor_grid, verify_trap
 from .geometry import box_dimension, counts_from_survivors, grid_centers
 from .holes import first_entry
 from .induced import build_induced, induced_hole_volume, verify_expansion
@@ -155,19 +155,20 @@ def _dim_row(sc: SweepConfig, mu: float, chash: str) -> dict:
     flags = []
     mu_f = float(getattr(model, "mu_f", float("nan")))  # HopfModel3D has no hole volume
     rho = float(getattr(model, "rho_inv", float("nan")))
-    trapped = hasattr(model, "default_trap")
+    trap = model.default_trap() if hasattr(model, "default_trap") else None
     # the orbits' absorber is the trap where the model has one, else the hole
-    no_absorber = model.default_trap().empty if trapped else model.hole is None
-    if no_absorber:
+    if model.hole is None if trap is None else trap.empty:
         flags.append("no-hole")
     if KNOWN_FAMILIES[sc.family].c0 and mu_f > 0:  # the families a2 reports on
         row["badset_ref"] = "a2.csv"
     if model.d == 3:
         flags.append("coarse")
-    if trapped:
-        pts = survivor_grid(model, sc.grid_n, sc.horizon)
-        if model.trap_advisory:
+    if trap is not None:
+        # a trap that fails its forward-invariance check downgrades the
+        # row to an advisory; its survivors are still counted against it
+        if not verify_trap(model, trap):
             flags.append("trap-advisory")
+        pts = survivor_grid(model, sc.grid_n, sc.horizon)
     else:
         pts = hole_survivors(model, sc.grid_n, sc.horizon)
     row.update(mu_f=mu_f, rho_inv=rho, survivors=len(pts))

@@ -15,12 +15,11 @@ from repeller_lab.families import (
     _select_matching_preimage,
     disk_trap,
     escape_time,
-    invariant_circle_radius,
     survivor_grid,
     verify_trap,
 )
 from repeller_lab.holes import first_entry
-from repeller_lab.profiles import profile_3d
+from repeller_lab.profiles import build_phi, circle_radius, profile_3d
 
 A2 = np.array([[3.0, -1.0], [1.0, 3.0]])
 A3 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, -10.0, 0.0]])
@@ -37,9 +36,8 @@ def test_neutral_circle_radius_closed_form():
     for mu in (0.01, 0.05, 0.1):
         model = HopfModel2D(mu)
         assert model.rho_inv == pytest.approx(np.sqrt(mu / 60.0), abs=1e-10)
-        assert invariant_circle_radius(model) == model.rho_inv
-    assert invariant_circle_radius(HopfModel2D(0.1), mu=0.0) == 0.0
-    assert invariant_circle_radius(HopfModel2D(0.1), mu=0.025) == pytest.approx(
+    assert circle_radius(build_phi(0.0, np.sqrt(10.0))) == 0.0
+    assert circle_radius(build_phi(0.025, np.sqrt(10.0))) == pytest.approx(
         np.sqrt(0.025 / 60.0), abs=1e-10)
 
 
@@ -49,9 +47,8 @@ def test_radius_first_order_against_derived_slope():
 
 
 def test_radius_scaling_slope_one_half():
-    model = HopfModel2D(0.01)
     mus = np.geomspace(1e-4, 1e-2, 9)
-    rhos = [invariant_circle_radius(model, mu=m) for m in mus]
+    rhos = [circle_radius(build_phi(m, np.sqrt(10.0))) for m in mus]
     slope = np.polyfit(np.log(mus), np.log(rhos), 1)[0]
     assert slope == pytest.approx(0.5, abs=0.05)
 
@@ -596,8 +593,8 @@ def test_no_attractor_before_bifurcation():
     model = HopfModel2D(-0.02)
     rng = np.random.default_rng(0)
     survives, steps = escape_time(model, rng.random((1000, 2)), horizon=200)
-    assert survives.all()
-    assert not model.trap_advisory
+    assert survives.all() and (steps == 200).all()
+    assert model.default_trap().empty and verify_trap(model, model.default_trap())
 
 
 def test_trap_invariance_both_models():
@@ -607,20 +604,22 @@ def test_trap_invariance_both_models():
     assert verify_trap(m3, m3.default_trap())
 
 
-def test_escape_time_verifies_the_trap_it_runs_against():
-    # a disk past the neutral circle is not forward invariant, and each
-    # call judges the trap in use, whatever an earlier call was handed
+def test_escape_time_runs_against_the_trap_it_is_handed_unchecked():
+    # a disk past the neutral circle is not forward invariant; escape_time
+    # does not check that, it counts entries into whatever trap the model
+    # hands it, and leaves the model as it found it
     model = HopfModel2D(0.1)
-    pts = np.array([[0.3, 0.3]])
-    assert not verify_trap(model, disk_trap(1.5 * model.rho_inv))
-    escape_time(model, pts, horizon=5)
-    assert not model.trap_advisory
-    model.default_trap = lambda: disk_trap(1.5 * model.rho_inv)
-    escape_time(model, pts, horizon=5)
-    assert model.trap_advisory
+    wide = disk_trap(1.5 * model.rho_inv)
+    assert not verify_trap(model, wide)
+    pts = np.array([[0.3, 0.3], [1.2 * model.rho_inv, 0.0]])
+    before = dict(vars(model))
+    survives, steps = escape_time(model, pts, horizon=5)
+    assert survives.all() and (steps == 5).all()
+    model.default_trap = lambda: wide
+    survives, steps = escape_time(model, pts, horizon=5)
+    assert survives[0] and not survives[1] and steps[1] == 0
     del model.default_trap
-    escape_time(model, pts, horizon=5)
-    assert not model.trap_advisory
+    assert vars(model) == before
 
 
 def test_survivor_grid_drops_hole_interior():

@@ -605,7 +605,7 @@ def _verify_reference(expander, *, samples, seed, witness_depth_limit=12):
     def multiply(rows, pos):
         prod[rows] = system.jacobian_matrices(pos) @ prod[rows]
 
-    _, tau, ok = expander.apply(pts, on_step=multiply)
+    tau, ok = expander.apply(pts, on_step=multiply)
     ret = np.flatnonzero(ok)
     ret = ret[np.argsort(tau[ret], kind="stable")]  # in the order they return
     margins = (np.log(np.linalg.svd(prod[ret], compute_uv=False)[:, -1])

@@ -94,6 +94,22 @@ def test_every_public_member_is_read_outside_the_tests():
     assert sorted(KEPT_UNREAD.keys() - unread) == []
 
 
+def test_no_library_call_writes_to_an_object_it_was_handed():
+    """Outside the drivers, attributes are stored or deleted only on
+    ``self``: a library function returns what it finds and does not set
+    it on a model or another argument.  The drivers ``sweeps`` and
+    ``cli`` may keep their own accumulators (``tally.cells``)."""
+    writes = []
+    for path in PACKAGE:
+        if path.name in ("sweeps.py", "cli.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)) \
+                    and not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                writes.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert writes == []
+
+
 def test_decision_notes_reproduce_what_they_say(capsys):
     """Each ``Reproduce`` block of notes/decisions.md prints the numbers
     its prose states, with the package as it is now."""

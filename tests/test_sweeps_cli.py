@@ -243,6 +243,22 @@ def test_dim_hopf3d_flags_no_hole_only_without_a_trap(tmp_path, mu, no_hole):
     assert row[1] == "nan" and row[8] == ""  # no hole volume, no slow-set report
 
 
+def test_dim_flags_a_trap_that_fails_its_check(tmp_path, monkeypatch):
+    # a disk past the neutral circle is not forward invariant: every row
+    # that runs against it is flagged, and no row of the default trap is
+    def flags(out):
+        cfg = _dim_cfg(tmp_path, mu_values=(0.1, 0.05), grid_n=16, horizon=5,
+                       k_min=1, k_max=4, out=str(tmp_path / out))
+        assert cmd_dim(cfg, cache=False) == 0
+        lines = (tmp_path / out / "dim.csv").read_text().splitlines()
+        return [ln.split(",")[9].split("|") for ln in lines if not ln.startswith("#")][1:]
+
+    assert [("trap-advisory" in f) for f in flags("default")] == [False, False]
+    monkeypatch.setattr(HopfModel2D, "default_trap",
+                        lambda self: repeller_lab.disk_trap(1.5 * self.rho_inv))
+    assert [("trap-advisory" in f) for f in flags("wide")] == [True, True]
+
+
 @pytest.mark.parametrize("family, mu, ref", [("hopf2d", 0.1, "a2.csv"),
                                              ("diaz-viana", 0.25, "a2.csv"),
                                              ("tripling", 0.0, ""),
