@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_fn, _rows, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH",
-                       help="key = value config file (supports include)")
+                       help="key = value config file")
         p.add_argument("--seed", type=int, metavar="N",
                        help="override the config seed")
         p.add_argument("--out", metavar="DIR", help="output directory")

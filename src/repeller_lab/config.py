@@ -1,17 +1,16 @@
 """Flat key = value run configuration, its schema, and content hashing.
 
 The format is deliberately tiny: one ``key = value`` pair per line, ``#``
-comments, blank lines ignored, and ``include other.cfg`` splicing another
-file (relative to the includer) with later assignments winning.  Values
-are coerced to int/float/bool when they look like one, and comma lists
-become tuples.  A canonical sha256 prefix of the resolved mapping stamps
-every output file so rows can be traced back to the exact settings that
-produced them.
+comments, blank lines ignored.  Values are coerced to int/float when they
+look like one, and comma lists become tuples.  A canonical sha256 prefix
+of the resolved mapping stamps every output file so rows can be traced
+back to the exact settings that produced them.
 
 Every driver reads its keys through ``read``, the one typed reader, into
 its view (``SweepConfig``, ``BoundsConfig``, ``A2Config``, ``InducedConfig``)
 before it writes anything; a bad value raises ``ConfigError`` naming its
-key.  Unused keys are left alone: ``sweep-all`` hands one mapping to all.
+key.  ``sweep-all`` hands one mapping to all four views, so each accepts
+every key in ``KEYS``, the union of what they read, and rejects the rest.
 """
 
 from __future__ import annotations
@@ -21,8 +20,6 @@ import math
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .bounds import block_cap
 from .families import (DiazVianaFamily, HopfModel2D, HopfModel3D, LinearToy2D,
@@ -36,11 +33,6 @@ class ConfigError(ValueError):
 
 def _coerce(text: str):
     token = text.strip()
-    low = token.lower()
-    if low in ("true", "on", "yes"):
-        return True
-    if low in ("false", "off", "no"):
-        return False
     if "," in token:
         return tuple(_coerce(part) for part in token.split(",") if part.strip())
     for kind in (int, float):
@@ -51,15 +43,9 @@ def _coerce(text: str):
     return token
 
 
-def parse_config(path, chain: tuple = ()) -> dict:
-    """Resolved key -> value mapping for a config file (with includes);
-    ``chain`` holds the resolved paths of the files including this one."""
+def parse_config(path) -> dict:
+    """Key -> value mapping of a config file, later assignments winning."""
     path = Path(path)
-    here = path.resolve()
-    if here in chain:
-        names = [p.name for p in chain[chain.index(here):]] + [here.name]
-        raise ConfigError("include cycle: " + " -> ".join(names))
-    chain += (here,)
     try:
         text = path.read_text()
     except OSError as exc:
@@ -68,10 +54,6 @@ def parse_config(path, chain: tuple = ()) -> dict:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            continue
-        if line.startswith("include ") or line.startswith("include\t"):
-            target = line.split(None, 1)[1].strip()
-            out.update(parse_config(path.parent / target, chain))
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
@@ -84,8 +66,6 @@ def parse_config(path, chain: tuple = ()) -> dict:
 
 
 def _canonical(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):
@@ -187,11 +167,24 @@ def make_family(name: str, mu: float, cfg: dict | None = None):
     return read_family({"family": name})[1].build(mu, read_knobs(cfg or {}))
 
 
+# The keys some view reads: sweep-all hands one mapping to every view
+KEYS = frozenset((
+    "out",                                                                   # every view
+    "family", "seed", "delta0", "delta1", "sigma1", "slope", "quad",         # all but bounds
+    "mu_values", "k_min", "k_max", "grid_n", "horizon", "samples",           # dim
+    "cp_n_max", "st_l_max", "en_l_max", "lemma_l_max", "lemma_mu_values",    # bounds
+    "n_values", "max_words", "threshold", "mu", "n0"))                       # a2, induced
+
+
 class View(SimpleNamespace):
     """One driver's validated settings, read from ``cfg`` by a subclass;
-    every view also carries ``out`` and ``raw``, the mapping as given."""
+    every view also carries ``out`` and ``raw``, the mapping as given.
+    A key outside ``KEYS`` is a config error: no driver would read it."""
 
     def __init__(self, cfg: dict, **values):
+        unread = sorted(cfg.keys() - KEYS)
+        if unread:
+            raise ConfigError(f"{unread[0]}: no driver reads this key")
         super().__init__(out=read(cfg, "out", str, "out"), raw=dict(cfg), **values)
 
     def stamped(self, *keys, **values) -> dict:
@@ -206,25 +199,6 @@ class View(SimpleNamespace):
             raise ConfigError(f"{self.family} at mu = {mu!r}: {exc}") from exc
 
 
-def _mu_grid(cfg: dict) -> tuple:
-    if "mu_values" in cfg:
-        return read(cfg, "mu_values", (float,))
-    count = read(cfg, "mu_count", int, lo=0)
-    if count is None:
-        return (0.1, 0.05, 0.02, 0.01, 0.005)
-    start = read(cfg, "mu_start", float, 0.005)
-    stop = read(cfg, "mu_stop", float, 0.1)
-    spacing = read(cfg, "mu_spacing", str, "linear", choices=("linear", "log"))
-    if count <= 1:
-        return (start,)[:count]
-    if spacing == "linear":
-        stepw = (stop - start) / (count - 1)
-        return tuple(start + i * stepw for i in range(count))
-    if start <= 0 or stop <= 0:
-        raise ConfigError("log spacing needs positive mu endpoints")
-    return tuple(float(v) for v in np.geomspace(start, stop, count))
-
-
 class SweepConfig(View):
     """Settings of a dimension sweep (``dim``).
 
@@ -234,12 +208,12 @@ class SweepConfig(View):
     def __init__(self, cfg: dict):
         family, _ = read_family(cfg)
         dim3, trip = family == "hopf3d", family == "tripling"
-        base = read(cfg, "eps_base", int, 3 if trip else 2, lo=2)
+        base = 3 if trip else 2
         k_lo = read(cfg, "k_min", int, 1 if trip else 3, lo=0)
         k_hi = read(cfg, "k_max", int, 8 if trip else (7 if dim3 else 10))
-        # k_hi > 62 exceeds the side at every base >= 2, without forming the power
+        # k_hi > 62 exceeds the side at either base, without forming the power
         if k_hi > 62 or base ** k_hi > MAX_GRID_SIDE:
-            raise ConfigError(f"k_max = {k_hi}: eps_base ** k_max = {base}**{k_hi} exceeds "
+            raise ConfigError(f"k_max = {k_hi}: base ** k_max = {base}**{k_hi} exceeds "
                               "2**62, past which box indices overflow int64")
         if k_hi - k_lo < 2 or base ** (k_hi - k_lo) < 8:
             raise ConfigError(f"box ladder k_min = {k_lo} .. k_max = {k_hi} (base {base}) "
@@ -249,7 +223,8 @@ class SweepConfig(View):
         if dim3:  # budget caps: coarse by design
             grid_n, horizon = min(grid_n, 128), min(horizon, 100)
         super().__init__(cfg, family=family, seed=read_seed(cfg), knobs=read_knobs(cfg),
-                         mu_values=_mu_grid(cfg), eps_base=base,
+                         mu_values=read(cfg, "mu_values", (float,),
+                                        (0.1, 0.05, 0.02, 0.01, 0.005)), eps_base=base,
                          k_values=tuple(range(k_lo, k_hi + 1)), grid_n=grid_n, horizon=horizon,
                          samples=read(cfg, "samples", int, 100_000, lo=100))
 
@@ -271,11 +246,8 @@ class BoundsConfig(View):
             if want > cap:
                 skipped.append(f"{key}={want} exceeds exactness cap {cap}")
         super().__init__(cfg, grids=grids, skipped=skipped,
-                         alphabet_m=read(cfg, "alphabet_m", int, 9, lo=1),
-                         tau=read(cfg, "tau", float, 1.0, lo=0, strict=True),
                          lemma_mu_values=read(cfg, "lemma_mu_values", (float,), (0.01, 0.02),
-                                              lo=0, hi=1, strict=True),
-                         sigma=read(cfg, "sigma", float, math.sqrt(10.0), lo=1, strict=True))
+                                              lo=0, hi=1, strict=True))
         for mu in self.lemma_mu_values:
             if int(block_cap(mu) * grids["lemma_l_max"]) < 1:
                 raise ConfigError(f"lemma_l_max = {grids['lemma_l_max']} checks no lemma cell "
@@ -296,7 +268,7 @@ class A2Config(View):
                          n_values=read(cfg, "n_values", (int,), tuple(range(4, 13)), lo=1),
                          mu_values=read(cfg, "mu_values", (float,), mus),
                          samples=read(cfg, "samples", int, 200_000, lo=1000),
-                         max_words=read(cfg, "max_words", int, 1_000_000),
+                         max_words=read(cfg, "max_words", int, 1_000_000, lo=1),
                          threshold=read(cfg, "threshold", float))
 
 
@@ -318,4 +290,4 @@ class InducedConfig(View):
         super().__init__(cfg, family=family, seed=read_seed(cfg), knobs=read_knobs(cfg), mu=mu,
                          n0=read(cfg, "n0", int, lo=1), threshold=threshold,
                          samples=read(cfg, "samples", int, 10_000, lo=1),
-                         max_words=read(cfg, "max_words", int, 1_000_000))
+                         max_words=read(cfg, "max_words", int, 1_000_000, lo=1))

@@ -37,7 +37,7 @@ from .bounds import (block_cap, count_patterns, delta_bound, depth_threshold,
 from .config import (KNOWN_FAMILIES, A2Config, BoundsConfig, ConfigError,
                      InducedConfig, SweepConfig, config_hash, config_header,
                      make_family, read_family)
-from .families import survivor_grid, verify_trap
+from .families import SQRT10, survivor_grid, verify_trap
 from .geometry import box_dimension, counts_from_survivors, grid_centers
 from .holes import first_entry
 from .induced import build_induced, induced_hole_volume, verify_expansion
@@ -260,7 +260,8 @@ class _BoundTally:
 
 
 def _bound_lines(suite: BoundsConfig, run: _Run, tally: _BoundTally):
-    """bounds.csv's data lines in order, each made as its cell is checked.
+    """bounds.csv's data lines in order, each made as its cell is checked,
+    for alphabet size 9, entropy slack tau = 1 and expansion sigma = sqrt(10).
 
     Every cell has fixed types (check str; n, l, t int or None; mu float
     or None; exact, bound int or float), so one f-string per line gives
@@ -280,11 +281,11 @@ def _bound_lines(suite: BoundsConfig, run: _Run, tally: _BoundTally):
                  f"{time.process_time() - c0:.2f}s cpu")
         t0, c0, cells = time.time(), time.process_time(), 0
 
-    cp_n, m = suite.grids["cp_n_max"], suite.alphabet_m
+    cp_n = suite.grids["cp_n_max"]
     for n in range(4, cp_n + 1):
         for l in range(1, n):
             for t in range(1, min(l, n - l) + 1):
-                bc = count_patterns(n, l, t, m)
+                bc = count_patterns(n, l, t, 9)
                 verdict = "pass" if bc.ok else tally.flag(
                     "FAIL", "count_patterns", n, l, t, None, bc.lhs, bc.rhs)
                 cells += 1
@@ -308,11 +309,10 @@ def _bound_lines(suite: BoundsConfig, run: _Run, tally: _BoundTally):
         cells += 2 * t_max
     note(f"stirling+prefactor grid l<={st_l}")
 
-    en_l, tau = suite.grids["en_l_max"], suite.tau
-    kappa0 = math.exp(-1.0 / tau)
+    en_l, kappa0 = suite.grids["en_l_max"], math.exp(-1.0)
     for l in range(1, en_l + 1):
         t_max = int(l * kappa0)
-        for t, (lhs, rhs, ok) in enumerate(entropy_row(l, t_max, tau)):
+        for t, (lhs, rhs, ok) in enumerate(entropy_row(l, t_max, 1.0)):
             verdict = "pass" if ok else tally.flag(
                 "FAIL", "entropy", None, l, t, None, lhs, rhs)
             yield f"entropy,,{l},{t},,{lhs!r},{rhs!r},{verdict}\n"
@@ -342,10 +342,10 @@ def _bound_lines(suite: BoundsConfig, run: _Run, tally: _BoundTally):
     for mu in (0.02, 0.05, 0.1):
         # largest admissible cell at l = 1000 under both letter caps
         l = 1000
-        n = l + max(1, int(fast_letter_cap(mu, suite.sigma) * l))
+        n = l + max(1, int(fast_letter_cap(mu, SQRT10) * l))
         t = max(1, int(block_cap(mu) * l))
         for check, bc in zip(("lt-outside", "lt-blocks"),
-                             lt_constraints(n, l, t, mu, suite.sigma)):
+                             lt_constraints(n, l, t, mu, SQRT10)):
             verdict = "pass" if bc.ok else tally.flag(
                 "FAIL", check, n, l, t, mu, bc.lhs, bc.rhs)
             cells += 1
@@ -371,7 +371,7 @@ def cmd_bounds(cfg: dict) -> int:
     """
     suite = BoundsConfig(cfg)
     run = _Run(suite.out, "bounds")
-    resolved = {"out": suite.out, **suite.raw}  # the mapping as given
+    resolved = suite.stamped("out")
     tally = _BoundTally()
     _write_csv(run.dir / "bounds.csv", config_header("bounds", resolved), _BOUND_COLUMNS,
                _bound_lines(suite, run, tally))
@@ -403,8 +403,7 @@ def cmd_a2(cfg: dict) -> int:
     a2 = A2Config(cfg)
     models = [(mu, a2.model(mu)) for mu in sorted(a2.mu_values)]
     run = _Run(a2.out, "a2")
-    resolved = a2.stamped("family", "n_values", "mu_values", "samples",
-                          "max_words", out=str(run.dir))
+    resolved = a2.stamped("family", "n_values", "mu_values", "samples", "max_words", "out")
     rows = []
     for mu, model in models:
         t0 = time.time()
@@ -470,7 +469,7 @@ def cmd_induced(cfg: dict) -> int:
     run.note(f"verified in {time.time() - t0:.2f}s")
 
     hist = Counter(expander.return_times)
-    resolved = ic.stamped("family", "mu", "samples", n0=n0, out=str(run.dir))
+    resolved = ic.stamped("family", "mu", "samples", "out", n0=n0)
     report = {
         "config": {k: str(v) for k, v in sorted(resolved.items())},
         "config_hash": config_hash(resolved),

@@ -15,8 +15,8 @@ import pytest
 import repeller_lab
 from repeller_lab.cli import main
 from repeller_lab import sweeps
-from repeller_lab.config import (KNOWN_FAMILIES, BoundsConfig, ConfigError, SweepConfig,
-                                 config_hash, parse_config, read)
+from repeller_lab.config import (KEYS, KNOWN_FAMILIES, A2Config, BoundsConfig, ConfigError,
+                                 InducedConfig, SweepConfig, config_hash, parse_config, read)
 from repeller_lab.families import HopfModel2D
 from repeller_lab.svgplot import SvgPlot
 from repeller_lab.sweeps import (_BOUND_COLUMNS, DIM_CACHE_VERSION, _csv_line,
@@ -24,6 +24,9 @@ from repeller_lab.sweeps import (_BOUND_COLUMNS, DIM_CACHE_VERSION, _csv_line,
                                  cache_put, cmd_a2, cmd_bounds, cmd_dim,
                                  cmd_induced, make_family, sweep_all)
 
+ROOT = Path(__file__).resolve().parents[1]
+_VIEWS = {"dim": SweepConfig, "bounds": BoundsConfig, "a2": A2Config,
+          "induced": InducedConfig}
 
 # ------------------------------------------------------------------ config
 
@@ -34,7 +37,7 @@ def test_parse_config_coercion(tmp_path):
 family = hopf2d
 mu_values = 0.1, 0.05   # trailing comment
 grid_n = 256
-cache = on
+word = on
 label = fine run
 ratio = 2.5
 """)
@@ -42,28 +45,20 @@ ratio = 2.5
     assert got["family"] == "hopf2d"
     assert got["mu_values"] == (0.1, 0.05)
     assert got["grid_n"] == 256 and isinstance(got["grid_n"], int)
-    assert got["cache"] is True
+    assert got["word"] == "on"  # no bool literals: no key reads a bool
     assert got["label"] == "fine run"
     assert got["ratio"] == 2.5
 
 
-def test_parse_config_include_overrides(tmp_path):
-    (tmp_path / "base.cfg").write_text("grid_n = 64\nseed = 1\n")
-    child = tmp_path / "child.cfg"
-    child.write_text("include base.cfg\ngrid_n = 128\n")
-    got = parse_config(child)
-    assert got == {"grid_n": 128, "seed": 1}
-
-
-def test_cli_rejects_include_cycles(tmp_path, capsys):
-    self_cfg = tmp_path / "self.cfg"
-    self_cfg.write_text("seed = 1\ninclude self.cfg\n")
-    assert main(["dim", "--config", str(self_cfg)]) == 2
-    assert "include cycle: self.cfg -> self.cfg" in capsys.readouterr().err
-    (tmp_path / "a.cfg").write_text("include b.cfg\nseed = 1\n")
-    (tmp_path / "b.cfg").write_text("include a.cfg\n")
-    assert main(["dim", "--config", str(tmp_path / "a.cfg")]) == 2
-    assert "include cycle: a.cfg -> b.cfg -> a.cfg" in capsys.readouterr().err
+def test_cli_rejects_include_lines(tmp_path, capsys):
+    # the format has no include directive: such a line is malformed
+    (tmp_path / "base.cfg").write_text("seed = 1\n")
+    cfg = tmp_path / "child.cfg"
+    cfg.write_text("grid_n = 64\ninclude base.cfg\n")
+    assert main(["dim", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {cfg}:2: expected 'key = value', got 'include base.cfg'" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_config_rejects_garbage(tmp_path):
@@ -133,22 +128,53 @@ def test_sweep_config_validation():
         SweepConfig({"family": "hopf2d"})
     with pytest.raises(ConfigError, match="k_max"):
         SweepConfig({"family": "hopf2d", "seed": 0, "k_min": 6, "k_max": 3})
-    with pytest.raises(ConfigError, match="mu_count"):
-        SweepConfig({"family": "hopf2d", "seed": 0, "mu_count": -2})
-    with pytest.raises(ConfigError, match="mu_spacing"):
-        SweepConfig({"family": "hopf2d", "seed": 0,
-                     "mu_count": 3, "mu_spacing": "cubic"})
+    with pytest.raises(ConfigError, match="^mu_values is an empty list"):
+        SweepConfig({"family": "hopf2d", "seed": 0, "mu_values": ()})
 
 
 def test_mu_grid_construction():
-    lin = SweepConfig({"family": "hopf2d", "seed": 0, "mu_count": 3,
-                       "mu_start": 0.01, "mu_stop": 0.03})
-    np.testing.assert_allclose(lin.mu_values, (0.01, 0.02, 0.03))
-    logg = SweepConfig({"family": "hopf2d", "seed": 0, "mu_count": 3,
-                        "mu_start": 0.01, "mu_stop": 0.04, "mu_spacing": "log"})
-    np.testing.assert_allclose(logg.mu_values, (0.01, 0.02, 0.04), rtol=1e-12)
-    empty = SweepConfig({"family": "hopf2d", "seed": 0, "mu_count": 0})
-    assert empty.mu_values == ()
+    # the grid is mu_values as listed, and no key generates one
+    listed = SweepConfig({"family": "hopf2d", "seed": 0, "mu_values": (0.01, 0.04, 0.02)})
+    assert listed.mu_values == (0.01, 0.04, 0.02)
+    assert SweepConfig({"family": "hopf2d", "seed": 0, "mu_values": 1}).mu_values == (1.0,)
+    for key in ("mu_count", "mu_start", "mu_stop", "mu_spacing", "eps_base"):
+        with pytest.raises(ConfigError, match=f"^{key}: no driver reads this key$"):
+            SweepConfig({"family": "hopf2d", "seed": 0, key: 3})
+
+
+def test_keys_are_the_keys_the_views_read(monkeypatch):
+    # KEYS, which every view accepts, is exactly what the four views read
+    asked = set()
+    real_read = repeller_lab.config.read
+
+    def spy(cfg, key, *args, **kwargs):
+        asked.add(key)
+        return real_read(cfg, key, *args, **kwargs)
+
+    monkeypatch.setattr(repeller_lab.config, "read", spy)
+    cfg = {"out": "out", "family": "hopf2d", "seed": 0, "delta0": 0.05, "delta1": 0.02,
+           "sigma1": 1.0, "slope": 20.0, "quad": 0.5, "mu_values": (0.1,), "k_min": 3,
+           "k_max": 6, "grid_n": 16, "horizon": 5, "samples": 1000, "cp_n_max": 4,
+           "st_l_max": 3, "en_l_max": 1, "lemma_l_max": 2000, "lemma_mu_values": (0.1,),
+           "n_values": (4,), "max_words": 10, "threshold": 0.01, "mu": 0.1, "n0": 6}
+    assert cfg.keys() == KEYS and len(KEYS) == 24
+    for view in _VIEWS.values():
+        view(cfg)
+    assert asked == KEYS
+
+
+def test_shipped_configs_validate(tmp_path):
+    # the benchmark's configs under their drivers' views, with the --seed and
+    # --out it passes, and README's sweep.cfg under all four, as sweep-all reads it
+    configs = sorted((ROOT / "perfbench" / "configs").glob("*.cfg"))
+    assert [p.stem for p in configs] == sorted(_VIEWS)
+    for path in configs:
+        _VIEWS[path.stem]({**parse_config(path), "seed": 0, "out": "out"})
+    readme = (ROOT / "README.md").read_text()
+    sweep = tmp_path / "sweep.cfg"
+    sweep.write_text(re.search(r"```ini\n(# sweep\.cfg\n.*?)```", readme, re.S).group(1))
+    for view in _VIEWS.values():
+        view(parse_config(sweep))
 
 
 def test_make_family_forwards_profile_knobs():
@@ -200,19 +226,8 @@ def _data_files(outdir):
             if p.is_file() and p.suffix != ".log" and ".cache" not in p.parts}
 
 
-def test_dim_empty_grid_header_only(tmp_path):
-    cfg = _dim_cfg(tmp_path, mu_values=None, mu_count=0)
-    del cfg["mu_values"]
-    assert cmd_dim(cfg, cache=False) == 0
-    lines = (tmp_path / "out" / "dim.csv").read_text().splitlines()
-    data = [ln for ln in lines if not ln.startswith("#")]
-    assert data == ["mu,mu_f,rho_inv,dimension,ci,slope_raw,residual,"
-                    "survivors,badset_ref,flags,config_hash"]
-
-
 def test_dim_header_derives_constants_from_family_knobs(tmp_path):
-    cfg = _dim_cfg(tmp_path, mu_count=0, slope=40)
-    del cfg["mu_values"]
+    cfg = _dim_cfg(tmp_path, grid_n=16, horizon=5, slope=40)
     assert cmd_dim(cfg, cache=False) == 0
     lines = (tmp_path / "out" / "dim.csv").read_text().splitlines()
     want = HopfModel2D(0.05, slope=40).K
@@ -446,25 +461,26 @@ def _listed_bounds(cfg: dict):
     for n in range(4, suite.grids["cp_n_max"] + 1):
         for l in range(1, n):
             for t in range(1, min(l, n - l) + 1):
-                row("count_patterns", b.count_patterns(n, l, t, suite.alphabet_m), n, l, t)
+                row("count_patterns", b.count_patterns(n, l, t, 9), n, l, t)
     for l in range(2, suite.grids["st_l_max"] + 1):
         for t in range(1, (l + 1) // 2):
             row("stirling", b.stirling_binomial_bound(l, t), l=l, t=t)
             row("prefactor", b.prefactor_bound(l, t), l=l, t=t)
     for l in range(1, suite.grids["en_l_max"] + 1):
-        for t in range(0, int(l * np.exp(-1.0 / suite.tau)) + 1):
-            row("entropy", b.entropy_bound(l, t, suite.tau), l=l, t=t)
+        for t in range(0, int(l * np.exp(-1.0)) + 1):
+            row("entropy", b.entropy_bound(l, t, 1.0), l=l, t=t)
     row("entropy-probe", b.entropy_bound(400, 80, 0.5, enforce=False), l=400, t=80,
         probe=True)
     for mu in suite.lemma_mu_values:
         for l in range(1, suite.grids["lemma_l_max"] + 1):
             for t in range(1, int(mu / (-4.0 * np.log(mu)) * l) + 1):
                 row("lemma-cell", b.lemma_cell_bound(l, t, mu), l=l, t=t, mu=mu)
+    sigma = float(np.sqrt(10.0))  # the suite's fixed alphabet 9, tau 1 and sigma sqrt(10)
     for mu in (0.02, 0.05, 0.1):
         l = 1000
-        n = l + max(1, int(mu / (8.0 * np.log(suite.sigma)) * l))
+        n = l + max(1, int(mu / (8.0 * np.log(sigma)) * l))
         t = max(1, int(mu / (-4.0 * np.log(mu)) * l))
-        outside, blocks = b.lt_constraints(n, l, t, mu, suite.sigma)
+        outside, blocks = b.lt_constraints(n, l, t, mu, sigma)
         row("lt-outside", outside, n, l, t, mu)
         row("lt-blocks", blocks, n, l, t, mu)
         peak = int(np.ceil(8.0 / mu))
@@ -703,7 +719,10 @@ _BAD_VALUES = [
     ("dim", "family = hopf3d\nslope = -1", "hopf3d"),            # rejected at every mu
     ("dim", "k_max = 63", "k_max"),                  # 2**63: box indices overflow int64
     ("dim", "k_max = 64", "k_max"),
-    ("dim", "eps_base = 3\nk_max = 40", "k_max"),
+    ("dim", "family = tripling\nk_max = 40", "k_max"),  # 3**40 > 2**62
+    ("dim", "mu_value = 0.05", "mu_value"),          # a typo of mu_values, once ignored
+    ("a2", "max_words = 0", "max_words"),            # once an inconclusive row and exit 0
+    ("induced", "max_words = 0", "max_words"),       # once caught after the partition
     ("dim", "k_min = -1", "k_min"),
 ]
 
@@ -802,14 +821,19 @@ def test_cli_flag_overrides(tmp_path):
 
 
 def test_sweep_all_runs_everything(tmp_path):
+    out = str(tmp_path / "all") + "/"  # every data file stamps out as set, slash and all
     cfg = {"family": "hopf2d", "mu_values": (0.1,), "mu": 0.1, "n0": 6,
            "n_values": (4, 5), "grid_n": 96, "horizon": 40, "k_min": 3,
-           "k_max": 6, "samples": 10_000, "seed": 4, **_SMALL_BOUNDS,
-           "out": str(tmp_path / "all")}
+           "k_max": 6, "samples": 10_000, "seed": 4, **_SMALL_BOUNDS, "out": out}
     assert sweep_all(cfg) == 0
     names = {p.name for p in (tmp_path / "all").iterdir()}
     assert {"dim.csv", "dim.svg", "bounds.csv", "bounds.json", "a2.csv",
             "induced.json"} <= names
+    stamps = {name: re.findall(r"^# out = (.*)$", (tmp_path / "all" / name).read_text(), re.M)
+              for name in ("dim.csv", "bounds.csv", "a2.csv")}
+    stamps.update({name: [json.loads((tmp_path / "all" / name).read_text())["config"]["out"]]
+                   for name in ("bounds.json", "induced.json")})
+    assert stamps == dict.fromkeys(stamps, [out])
 
 
 def test_scipy_stays_off_the_import_path(tmp_path):
